@@ -65,7 +65,6 @@ let pr3_baseline_ns =
   [
     ("engine: heap push+pop", 105.187);
     ("engine: wheel push+pop", 105.187);
-    ("sim: schedule+cancel+fire cycle", 88.0986);
     ("sim: schedule_fn+cancel+fire cycle", 88.0986);
   ]
 
@@ -79,7 +78,6 @@ let pr4_baseline_ns =
   [
     ("engine: heap push+pop", 104.287);
     ("engine: wheel push+pop", 31.4413);
-    ("sim: schedule+cancel+fire cycle", 75.4381);
     ("sim: schedule_fn+cancel+fire cycle", 60.7865);
     ("experiments: ns per simulated request", 2647.66);
   ]
@@ -93,7 +91,6 @@ let pr7_baseline_ns =
   [
     ("engine: heap push+pop", 124.693);
     ("engine: wheel push+pop", 39.0151);
-    ("sim: schedule+cancel+fire cycle", 87.0269);
     ("sim: schedule_fn+cancel+fire cycle", 74.2401);
     ("experiments: ns per simulated request", 2959.05);
     ("net: toeplitz RSS dispatch", 2153.84);
@@ -152,23 +149,11 @@ let micro_tests () =
         ignore (Engine.Wheel.min_elt wheel : int);
         Engine.Wheel.drop_min wheel)
   in
-  let sim_cycle_bench =
+  let sim_fn_cycle_bench =
     (* Steady-state engine cycle: two schedules, one cancel, one fire (the
        fire also skips the previous iteration's cancelled entry), touching
        the pool free list and the queue without allocating. Runs on the
-       default queue (the wheel); PR 3's number for this bench ran the
-       heap. *)
-    let sim = Engine.Sim.create () in
-    let noop () = () in
-    one "sim: schedule+cancel+fire cycle" (fun () ->
-        let _h1 : Engine.Sim.handle = Engine.Sim.schedule_after sim ~delay:1.0 noop in
-        let h2 = Engine.Sim.schedule_after sim ~delay:2.0 noop in
-        Engine.Sim.cancel sim h2;
-        ignore (Engine.Sim.step sim : bool))
-  in
-  let sim_fn_cycle_bench =
-    (* The same cycle through the closure-free API: no closure built per
-       schedule, payload carried in the pool's int array. *)
+       default queue (the wheel). *)
     let sim = Engine.Sim.create () in
     let noop_fn (_ : int) = () in
     one "sim: schedule_fn+cancel+fire cycle" (fun () ->
@@ -283,7 +268,6 @@ let micro_tests () =
   [
     heap_bench;
     wheel_bench;
-    sim_cycle_bench;
     sim_fn_cycle_bench;
     sim_deep_heap_bench;
     sim_deep_wheel_bench;
@@ -424,11 +408,10 @@ let equeue_bench ~jobs ~scale =
     E.clear q;
     dt /. float_of_int ops *. 1e9
   in
-  (* 3. Schedule+cancel+fire through Sim at depth n, per dispatch API:
-     the cancel path exercises lazy deletion in both queues. *)
-  let sim_cycle kind ~fn_api n =
+  (* 3. Schedule+cancel+fire through Sim at depth n: the cancel path
+     exercises lazy deletion in both queues. *)
+  let sim_cycle kind n =
     let sim = Engine.Sim.create ~queue:kind () in
-    let noop () = () in
     let noop_fn (_ : int) = () in
     let rec keepalive _ =
       ignore (Engine.Sim.schedule_fn_after sim ~delay:(float_of_int n) keepalive 0 : Engine.Sim.handle)
@@ -439,10 +422,7 @@ let equeue_bench ~jobs ~scale =
     let cycles = max 1 (ops / 4) in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to cycles do
-      let h =
-        if fn_api then Engine.Sim.schedule_fn_after sim ~delay:2.0 noop_fn 0
-        else Engine.Sim.schedule_after sim ~delay:2.0 noop
-      in
+      let h = Engine.Sim.schedule_fn_after sim ~delay:2.0 noop_fn 0 in
       Engine.Sim.cancel sim h;
       ignore (Engine.Sim.step sim : bool)
     done;
@@ -462,10 +442,8 @@ let equeue_bench ~jobs ~scale =
       record (Printf.sprintf "wheel push+pop @%d" n) w)
     sizes;
   let d = 512 in
-  record "sim closure cycle @512 (heap)" (sim_cycle E.Heap ~fn_api:false d);
-  record "sim closure cycle @512 (wheel)" (sim_cycle E.Wheel ~fn_api:false d);
-  record "sim schedule_fn cycle @512 (heap)" (sim_cycle E.Heap ~fn_api:true d);
-  record "sim schedule_fn cycle @512 (wheel)" (sim_cycle E.Wheel ~fn_api:true d);
+  record "sim schedule_fn cycle @512 (heap)" (sim_cycle E.Heap d);
+  record "sim schedule_fn cycle @512 (wheel)" (sim_cycle E.Wheel d);
   let rows = List.rev !rows in
   last_equeue := rows;
   Experiments.Output.print_header

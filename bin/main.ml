@@ -17,8 +17,8 @@ let usage () =
      \  TARGET   one of: %s (default: all)\n\
      \  -j N     run sweep points on N domains (default 1; also ZYGOS_JOBS)\n\
      \  --scale S  request-budget multiplier (default 1.0; also ZYGOS_BENCH_SCALE)\n\
-     \  --equeue Q  event-queue back end: heap or wheel (default wheel; also\n\
-     \              ZYGOS_EQUEUE; output is byte-identical either way)\n"
+     \  --equeue Q  event-queue back end: heap or wheel (default wheel;\n\
+     \              output is byte-identical either way)\n"
     (String.concat " " (List.map fst Experiments.Figures.all_targets));
   exit 1
 

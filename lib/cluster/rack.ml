@@ -36,29 +36,30 @@ let init_ordered n f =
   let rec go i acc = if i = n then List.rev acc else go (i + 1) (f i :: acc) in
   go 0 []
 
-(* Sum per-server info lists key-wise, preserving the key order of the
-   first list (all servers run the same system model, so the key sets
-   match; unseen keys are appended in encounter order). *)
+(* Sum per-server info lists key-wise, in the key order of the first list
+   (all servers run the same system model, so the key sets match). A
+   ratio does not add up across servers: [steal_fraction] is recomputed
+   from the summed [local_events] and [stolen_events] counters. *)
 let sum_infos infos =
   match infos with
   | [] -> []
   | first :: _ ->
       let tbl = Hashtbl.create 32 in
-      let extra = ref [] in
       List.iter
-        (fun info ->
-          List.iter
-            (fun (k, v) ->
-              match Hashtbl.find_opt tbl k with
-              | Some acc -> Hashtbl.replace tbl k (acc +. v)
-              | None ->
-                  Hashtbl.replace tbl k v;
-                  if not (List.exists (fun (k0, _) -> String.equal k0 k) first) then
-                    extra := k :: !extra)
-            info)
+        (List.iter (fun (k, v) ->
+             match Hashtbl.find_opt tbl k with
+             | Some acc -> Hashtbl.replace tbl k (acc +. v)
+             | None -> Hashtbl.replace tbl k v))
         infos;
-      List.map (fun (k, _) -> (k, Hashtbl.find tbl k)) first
-      @ List.rev_map (fun k -> (k, Hashtbl.find tbl k)) !extra
+      let summed k = Option.value ~default:0. (Hashtbl.find_opt tbl k) in
+      List.map
+        (fun (k, _) ->
+          if String.equal k "steal_fraction" then
+            let stolen = summed "stolen_events" in
+            let total = summed "local_events" +. stolen in
+            (k, if total = 0. then 0. else stolen /. total)
+          else (k, Hashtbl.find tbl k))
+        first
 
 let create sim cfg ~rng ~pool ~make_server ~respond =
   let n = cfg.servers in

@@ -1,25 +1,22 @@
 (* Event records are pooled: a scheduled event is a slot in a set of
-   parallel arrays (action + generation), and the handle returned to the
-   caller is an immediate int packing (generation, slot). Firing or
+   parallel arrays (fn + payload + generation), and the handle returned to
+   the caller is an immediate int packing (generation, slot). Firing or
    cancelling a slot bumps its generation and pushes it on a free-list
    stack, so steady-state scheduling recycles slots instead of allocating,
    and a stale handle (fired or cancelled event, possibly with the slot
    since reused) can never touch the wrong event: its packed generation no
    longer matches the slot's.
 
-   Dispatch comes in two flavours per slot: a closure ([actions]) or a
-   long-lived function plus an immediate int payload ([fns]/[iargs]).
-   The closure path allocates the closure per schedule; the fn path
-   allocates nothing, which is what the hot call sites in the system
-   models use. A slot is a fn-slot iff its [fns] entry is not the
-   [noop_fn] sentinel (physical equality).
+   Every slot holds a long-lived [int -> unit] fn plus an immediate int
+   payload, so scheduling allocates nothing. Cold callers pass a closure
+   that ignores its payload; that closure is their one allocation.
 
-   Hot-path notes. Both [actions] and [fns] are pointer arrays, so every
-   store pays a write barrier; schedule and release therefore skip stores
-   whose value is already in place (steady state reuses a slot for the
-   same pre-bound fn, turning the store into a read + compare). Only
-   closure slots are scrubbed on release — retaining a top-level fn or a
-   stale int payload is harmless, retaining a closure is a space leak.
+   Hot-path notes. [fns] is a pointer array, so every store pays a write
+   barrier; schedule therefore skips the store when the fn is already in
+   place (steady state reuses a slot for the same pre-bound fn, turning
+   the store into a read + compare), and release writes no pointer at
+   all. A fired slot keeps its last fn until the slot is reused, so what
+   the pool retains is bounded by [pool_slots] fns.
    The clock lives in a one-element float array: a mutable float field of
    a mixed record is a boxed pointer, so advancing it would allocate a
    fresh box per event, while a flat array stores the bits in place.
@@ -27,11 +24,11 @@
    (<= capacity of every pool array) or produced by [alloc_slot].
 
    The queue is an {!Equeue}: the SoA binary heap or the hierarchical
-   timing wheel, selected per-simulation ([create ?queue]), process-wide
-   ([set_default_queue], the CLI's [--equeue]) or via the ZYGOS_EQUEUE
-   environment variable. Both pop in identical (time, seqno) order, so
-   the choice never affects simulation output. The step loop matches on
-   the back end once and calls {!Heap}/{!Wheel} directly. *)
+   timing wheel, selected per-simulation ([create ?queue]) or
+   process-wide ([set_default_queue], the CLI's [--equeue]). Both pop in
+   identical (time, seqno) order, so the choice never affects simulation
+   output. The step loop matches on the back end once and calls
+   {!Heap}/{!Wheel} directly. *)
 
 type handle = int
 
@@ -51,17 +48,10 @@ type stats = {
   live : int;
 }
 
-let noop () = ()
-
-(* Sentinel for "this slot dispatches through [actions]"; compared with
-   physical equality, so user fns are never misread as the sentinel. *)
-let noop_fn (_ : int) = ()
-
 type t = {
   clock : float array; (* one element; flat storage, see header comment *)
   tbuf : float array; (* one element; carries event times to/from the queue *)
   queue : Equeue.t;
-  mutable actions : (unit -> unit) array;
   mutable fns : (int -> unit) array;
   mutable iargs : int array;
   mutable gens : int array;
@@ -75,33 +65,18 @@ type t = {
 }
 
 (* Queue-kind selection: explicit [?queue] beats [set_default_queue]
-   beats ZYGOS_EQUEUE beats the built-in default (wheel — goldens are
-   bit-identical to the heap's, see test/test_equeue.ml). *)
-let forced_default : Equeue.kind option ref = ref None
+   beats the built-in default (wheel — goldens are bit-identical to the
+   heap's, see test/test_equeue.ml). *)
+let default_queue = ref Equeue.Wheel
 
-let set_default_queue kind = forced_default := Some kind
+let set_default_queue kind = default_queue := kind
 
-let default_queue () =
-  match !forced_default with
-  | Some k -> k
-  | None -> (
-      match Sys.getenv_opt "ZYGOS_EQUEUE" with
-      | None | Some "" -> Equeue.Wheel
-      | Some s -> (
-          match Equeue.kind_of_string s with
-          | Some k -> k
-          | None ->
-              invalid_arg
-                (Printf.sprintf "ZYGOS_EQUEUE=%s: expected \"heap\" or \"wheel\"" s)))
-
-let create ?queue () =
-  let kind = match queue with Some k -> k | None -> default_queue () in
+let create ?(queue = !default_queue) () =
   {
     clock = [| 0. |];
     tbuf = [| 0. |];
-    queue = Equeue.create ~dummy:0 kind;
-    actions = Array.make 64 noop;
-    fns = Array.make 64 noop_fn;
+    queue = Equeue.create ~dummy:0 queue;
+    fns = Array.make 64 ignore;
     iargs = Array.make 64 0;
     gens = Array.make 64 0;
     free = Array.make 64 0;
@@ -122,33 +97,28 @@ let key_buffer t = t.tbuf
 let queue_kind t = Equeue.kind t.queue
 
 let[@zygos.hot] grow_pool t =
-  let cap = Array.length t.actions in
+  let cap = Array.length t.fns in
   if cap >= slot_mask + 1 then
     failwith "Sim: event pool exceeded 2^24 concurrent events";
   let new_cap = min (2 * cap) (slot_mask + 1) in
   (* amortized doubling: O(log n) growths over a run, zero steady-state *)
-  let actions = (Array.make new_cap noop [@zygos.allow "hot-alloc"]) in
-  let fns = (Array.make new_cap noop_fn [@zygos.allow "hot-alloc"]) in
+  let fns = (Array.make new_cap ignore [@zygos.allow "hot-alloc"]) in
   let iargs = (Array.make new_cap 0 [@zygos.allow "hot-alloc"]) in
   let gens = (Array.make new_cap 0 [@zygos.allow "hot-alloc"]) in
   let free = (Array.make new_cap 0 [@zygos.allow "hot-alloc"]) in
-  Array.blit t.actions 0 actions 0 cap;
   Array.blit t.fns 0 fns 0 cap;
   Array.blit t.iargs 0 iargs 0 cap;
   Array.blit t.gens 0 gens 0 cap;
   Array.blit t.free 0 free 0 t.free_top;
-  t.actions <- actions;
   t.fns <- fns;
   t.iargs <- iargs;
   t.gens <- gens;
   t.free <- free
 
-(* Scrub only what can leak: a closure slot drops its closure; a fn slot
-   keeps its (top-level, long-lived) fn and int payload, so releasing it
-   writes nothing through the barrier. *)
+(* The slot keeps its fn and payload, so releasing it writes nothing
+   through the barrier. *)
 let[@zygos.hot] release_slot t slot =
   Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);
-  if Array.unsafe_get t.actions slot != noop then Array.unsafe_set t.actions slot noop;
   Array.unsafe_set t.free t.free_top slot;
   t.free_top <- t.free_top + 1
 
@@ -159,20 +129,11 @@ let[@zygos.hot] alloc_slot t =
     Array.unsafe_get t.free t.free_top
   end
   else begin
-    if t.fresh = Array.length t.actions then grow_pool t;
+    if t.fresh = Array.length t.fns then grow_pool t;
     let s = t.fresh in
     t.fresh <- s + 1;
     s
   end
-
-(* Slot setup minus the float plumbing (the [at] key stays in the caller
-   so each schedule boxes it exactly once, at the queue-add call). *)
-let[@zygos.hot] prep_action t action =
-  let slot = alloc_slot t in
-  if Array.unsafe_get t.actions slot != action then Array.unsafe_set t.actions slot action;
-  if Array.unsafe_get t.fns slot != noop_fn then Array.unsafe_set t.fns slot noop_fn;
-  t.n_scheduled <- t.n_scheduled + 1;
-  (Array.unsafe_get t.gens slot lsl slot_bits) lor slot
 
 let[@zygos.hot] prep_fn t fn iarg =
   let slot = alloc_slot t in
@@ -189,33 +150,6 @@ let[@zygos.hot] enqueue_key t h =
   | Equeue.H hp -> Heap.add_key hp t.tbuf h
   | Equeue.W w -> Wheel.add_key w t.tbuf h
 
-let schedule t ~at action =
-  if at < Array.unsafe_get t.clock 0 then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule: at %g is in the past (now %g)" at
-         (Array.unsafe_get t.clock 0));
-  Array.unsafe_set t.tbuf 0 at;
-  let h = prep_action t action in
-  enqueue_key t h;
-  h
-
-let schedule_after t ~delay action =
-  if delay < 0. then invalid_arg "Sim.schedule_after: negative delay";
-  Array.unsafe_set t.tbuf 0 (Array.unsafe_get t.clock 0 +. delay);
-  let h = prep_action t action in
-  enqueue_key t h;
-  h
-
-let[@zygos.hot] schedule_fn t ~at fn iarg =
-  if at < Array.unsafe_get t.clock 0 then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_fn: at %g is in the past (now %g)" at
-         (Array.unsafe_get t.clock 0));
-  Array.unsafe_set t.tbuf 0 at;
-  let h = prep_fn t fn iarg in
-  enqueue_key t h;
-  h
-
 let[@zygos.hot] schedule_fn_after t ~delay fn iarg =
   if delay < 0. then invalid_arg "Sim.schedule_fn_after: negative delay";
   Array.unsafe_set t.tbuf 0 (Array.unsafe_get t.clock 0 +. delay);
@@ -223,17 +157,8 @@ let[@zygos.hot] schedule_fn_after t ~delay fn iarg =
   enqueue_key t h;
   h
 
-(* Keyed variants: the caller stored the absolute time in [t.tbuf]
-   (see {!key_buffer}); no float crosses the call, so nothing boxes. *)
-let[@zygos.hot] schedule_keyed t action =
-  if Array.unsafe_get t.tbuf 0 < Array.unsafe_get t.clock 0 then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_keyed: at %g is in the past (now %g)"
-         (Array.unsafe_get t.tbuf 0) (Array.unsafe_get t.clock 0));
-  let h = prep_action t action in
-  enqueue_key t h;
-  h
-
+(* The core: the caller stored the absolute time in [t.tbuf] (see
+   {!key_buffer}); no float crosses the call, so nothing boxes. *)
 let[@zygos.hot] schedule_fn_keyed t fn iarg =
   if Array.unsafe_get t.tbuf 0 < Array.unsafe_get t.clock 0 then
     invalid_arg
@@ -268,29 +193,16 @@ let[@zygos.hot] fire t h =
   let gen = h lsr slot_bits in
   if Array.unsafe_get t.gens slot <> gen then false (* cancelled; slot recycled *)
   else begin
+    (* read fn and payload first: the fn may reschedule into this very
+       slot *)
     let fn = Array.unsafe_get t.fns slot in
-    if fn != noop_fn then begin
-      (* read the payload before releasing: the fn may reschedule into
-         this very slot. A fn slot's release skips {!release_slot}'s
-         [actions] scrub check — fn slots never hold a closure, and the
-         check would drag the [actions] array into cache on every fire. *)
-      let iarg = Array.unsafe_get t.iargs slot in
-      Array.unsafe_set t.gens slot (Array.unsafe_get t.gens slot + 1);
-      Array.unsafe_set t.free t.free_top slot;
-      t.free_top <- t.free_top + 1;
-      t.n_fired <- t.n_fired + 1;
-      Array.unsafe_set t.clock 0 (Array.unsafe_get t.tbuf 0);
-      (* dynamic dispatch: every registered handler is itself a certified
-         [@zygos.hot] root, so the edge is deliberately cut here *)
-      (fn iarg [@zygos.allow "r6"])
-    end
-    else begin
-      let action = Array.unsafe_get t.actions slot in
-      release_slot t slot;
-      t.n_fired <- t.n_fired + 1;
-      Array.unsafe_set t.clock 0 (Array.unsafe_get t.tbuf 0);
-      (action () [@zygos.allow "r6"])
-    end;
+    let iarg = Array.unsafe_get t.iargs slot in
+    release_slot t slot;
+    t.n_fired <- t.n_fired + 1;
+    Array.unsafe_set t.clock 0 (Array.unsafe_get t.tbuf 0);
+    (* dynamic dispatch: every registered handler is itself a certified
+       [@zygos.hot] root, so the edge is deliberately cut here *)
+    (fn iarg [@zygos.allow "r6"]);
     true
   end
 

@@ -8,18 +8,19 @@
     The hot path is allocation-free in steady state: event records live in
     a pool of recycled slots, handles are immediate integers carrying a
     per-slot generation, and the queue stores its keys in flat arrays.
-    Two dispatch APIs share the pool: {!schedule} takes a closure (one
-    allocation per event), while {!schedule_fn} takes a long-lived
-    [int -> unit] plus an immediate payload and allocates nothing.
+    An event is a long-lived [int -> unit] plus an immediate payload, so
+    scheduling allocates nothing. There are two ways to schedule one:
+    {!schedule_fn_keyed}, the core, takes its time from {!key_buffer};
+    {!schedule_fn_after} takes a delay and is the shim for cold paths.
 
     The queue implementation — binary heap or hierarchical timing wheel,
-    see {!Equeue} — is selectable per simulation, process-wide, or via
-    the [ZYGOS_EQUEUE] environment variable; both pop in identical
-    (time, seqno) order so the choice never affects simulation output.
+    see {!Equeue} — is selectable per simulation or process-wide; both
+    pop in identical (time, seqno) order so the choice never affects
+    simulation output.
 
-    Events can be cancelled through the handle returned by {!schedule};
-    cancellation is O(1) (the queue entry stays queued but is skipped, and
-    the slot is recycled immediately). *)
+    Events can be cancelled through the handle returned when they are
+    scheduled; cancellation is O(1) (the queue entry stays queued but is
+    skipped, and the slot is recycled immediately). *)
 
 type t
 
@@ -50,13 +51,12 @@ type stats = {
 val create : ?queue:Equeue.kind -> unit -> t
 (** Fresh simulation with clock at 0. [queue] selects the event-queue
     back end; when omitted the process default applies
-    ({!set_default_queue}, else [ZYGOS_EQUEUE=heap|wheel], else
-    [Wheel]). *)
+    ({!set_default_queue}, else [Wheel]). *)
 
 val set_default_queue : Equeue.kind -> unit
 (** Process-wide queue default for subsequent {!create} calls without an
-    explicit [?queue]. Overrides [ZYGOS_EQUEUE]; the CLI's [--equeue]
-    flag calls this before spawning workers. *)
+    explicit [?queue]. The CLI's [--equeue] flag calls this before
+    spawning workers. *)
 
 val queue_kind : t -> Equeue.kind
 (** The back end this simulation's queue runs on. *)
@@ -72,36 +72,26 @@ val clock_buffer : t -> float array
 val key_buffer : t -> float array
 (** The one-element buffer through which event times travel to the
     queue. Write the absolute time into slot 0 and call
-    {!schedule_keyed} / {!schedule_fn_keyed}: the float never crosses a
-    call boundary, so a steady-state schedule allocates nothing (a
-    [~at:] float argument is boxed at every call site). *)
-
-val schedule_keyed : t -> (unit -> unit) -> handle
-(** Like {!schedule}, with the time taken from {!key_buffer} slot 0. *)
+    {!schedule_fn_keyed}: the float never crosses a call boundary, so a
+    steady-state schedule allocates nothing (a float argument is boxed
+    at every call site). *)
 
 val schedule_fn_keyed : t -> (int -> unit) -> int -> handle
-(** Like {!schedule_fn}, with the time taken from {!key_buffer} slot 0. *)
-
-val schedule : t -> at:float -> (unit -> unit) -> handle
-(** [schedule t ~at f] runs [f] when the clock reaches [at]. [at] must not
-    be in the past (raises [Invalid_argument]). Allocates the closure the
-    caller builds; cold paths only — hot paths use {!schedule_fn}. *)
-
-val schedule_after : t -> delay:float -> (unit -> unit) -> handle
-(** [schedule_after t ~delay f] = [schedule t ~at:(now t +. delay) f].
-    [delay] must be non-negative. *)
-
-val schedule_fn : t -> at:float -> (int -> unit) -> int -> handle
-(** [schedule_fn t ~at fn iarg] runs [fn iarg] when the clock reaches
-    [at]. [fn] must be long-lived (pre-bound at setup, e.g. indexed by
-    core or connection id) and [iarg] is stored unboxed in the event
-    pool, so steady-state scheduling allocates zero words. Ordering is
-    identical to {!schedule}: one (time, seqno) sequence spans both
-    APIs. *)
+(** [schedule_fn_keyed t fn iarg] runs [fn iarg] when the clock reaches
+    the time in {!key_buffer} slot 0, which must not be in the past
+    (raises [Invalid_argument], scheduling nothing). [fn] should be
+    long-lived (pre-bound at setup, e.g. indexed by core or connection
+    id) and [iarg] is stored unboxed in the event pool, so steady-state
+    scheduling allocates zero words. Events at the same time fire in
+    scheduling order. A fired slot keeps its [fn] until the slot is
+    reused, so the pool retains at most one fn per pool slot. *)
 
 val schedule_fn_after : t -> delay:float -> (int -> unit) -> int -> handle
-(** [schedule_fn_after t ~delay fn iarg] =
-    [schedule_fn t ~at:(now t +. delay) fn iarg]. *)
+(** [schedule_fn_after t ~delay fn iarg] schedules [fn iarg] at
+    [now t +. delay]. [delay] must be non-negative (raises
+    [Invalid_argument], scheduling nothing). The boxed [~delay] makes it
+    the shim for cold paths; a cold caller without a payload passes a
+    closure that ignores its argument. *)
 
 val cancel : t -> handle -> unit
 (** Prevent a pending event from firing. Cancelling a fired or already

@@ -48,12 +48,14 @@ let make_station ~capacity ~policy =
 let rec fcfs_start sim station job ~record =
   station.running <- station.running + 1;
   let _ : Sim.handle =
-    Sim.schedule_after sim ~delay:job.remaining (fun () ->
+    Sim.schedule_fn_after sim ~delay:job.remaining
+      (fun _ ->
         station.running <- station.running - 1;
         record job;
         match Queue.take_opt station.fifo with
         | Some next -> fcfs_start sim station next ~record
         | None -> ())
+      0
   in
   ()
 
@@ -95,7 +97,7 @@ let rec ps_reschedule sim station ~record =
       in
       let delay = Float.max 0. (soonest.remaining /. rate) in
       station.next_done <-
-        Some (Sim.schedule_after sim ~delay (fun () -> ps_complete sim station ~record))
+        Some (Sim.schedule_fn_after sim ~delay (fun _ -> ps_complete sim station ~record) 0)
 
 and ps_complete sim station ~record =
   (* Bring work up to date as of now, then retire every finished job
@@ -150,27 +152,23 @@ let simulate spec ~service ~load ~requests ~seed =
   let rec next_arrival () =
     if !generated < total then begin
       let gap = Rng.exponential arrival_rng ~mean:(1. /. lambda) in
-      let _ : Sim.handle =
-        Sim.schedule_after sim ~delay:gap (fun () ->
-            let idx = !generated in
-            generated := idx + 1;
-            let measured = idx >= warmup in
-            let now = Sim.now sim in
-            if measured && Float.is_nan !first_measured_arrival then
-              first_measured_arrival := now;
-            let job =
-              { arrival = now; remaining = Dist.sample service service_rng; measured }
-            in
-            let station =
-              match spec.topology with
-              | Central -> stations.(0)
-              | Partitioned -> stations.(Rng.int select_rng spec.servers)
-            in
-            arrive station job;
-            next_arrival ())
-      in
+      let _ : Sim.handle = Sim.schedule_fn_after sim ~delay:gap on_arrival 0 in
       ()
     end
+  and on_arrival _ =
+    let idx = !generated in
+    generated := idx + 1;
+    let measured = idx >= warmup in
+    let now = Sim.now sim in
+    if measured && Float.is_nan !first_measured_arrival then first_measured_arrival := now;
+    let job = { arrival = now; remaining = Dist.sample service service_rng; measured } in
+    let station =
+      match spec.topology with
+      | Central -> stations.(0)
+      | Partitioned -> stations.(Rng.int select_rng spec.servers)
+    in
+    arrive station job;
+    next_arrival ()
   in
   next_arrival ();
   Sim.run sim;

@@ -111,7 +111,7 @@ let apply t pkt ~deliver =
     if reordered then begin
       t.reorders <- t.reorders + 1;
       let _ : Sim.handle =
-        Sim.schedule_after t.sim ~delay:t.plan.reorder_delay (fun () -> deliver pkt)
+        Sim.schedule_fn_after t.sim ~delay:t.plan.reorder_delay (fun _ -> deliver pkt) 0
       in
       ()
     end
@@ -119,7 +119,7 @@ let apply t pkt ~deliver =
     if duplicated then begin
       t.duplicates <- t.duplicates + 1;
       let delay = t.plan.dup_delay +. if reordered then t.plan.reorder_delay else 0. in
-      let _ : Sim.handle = Sim.schedule_after t.sim ~delay (fun () -> deliver pkt) in
+      let _ : Sim.handle = Sim.schedule_fn_after t.sim ~delay (fun _ -> deliver pkt) 0 in
       ()
     end
   end

@@ -91,7 +91,7 @@ type t = {
   mutable window_completions : int;
   latencies : Stats.Tally.t;
   outstanding : Engine.Intq.t array;  (* per-conn FIFO of pending request ids *)
-  (* Long-lived timeout/retransmit dispatch fns ([Sim.schedule_fn]),
+  (* Long-lived timeout/retransmit dispatch fns ([Sim.schedule_fn_keyed]),
      keyed by logical request id; bound in [create] when retries are on. *)
   mutable fn_timeout : int -> unit;
   mutable fn_retry : int -> unit;
@@ -285,18 +285,19 @@ let start t ~warmup ~measure =
   t.measure_span <- measure;
   t.measure_start <- measure_start;
   t.measure_end <- stop_at;
-  let rec arrival () =
+  (* One long-lived arrival fn for the whole run; the payload is unused. *)
+  let rec arrival _ =
     if Array.unsafe_get t.clk 0 < stop_at then begin
       emit t ~measure_start ~stop_at;
       let gap = Rng.exponential t.rng ~mean:(1. /. t.rate) in
       (* Keyed schedule: same [clock +. delay] arithmetic as
-         [schedule_after], with the time handed over flat. *)
+         [schedule_fn_after], with the time handed over flat. *)
       Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. gap);
-      ignore (Sim.schedule_keyed t.sim arrival : Sim.handle)
+      ignore (Sim.schedule_fn_keyed t.sim arrival 0 : Sim.handle)
     end
   in
   let first_gap = Rng.exponential t.rng ~mean:(1. /. t.rate) in
-  ignore (Sim.schedule_after t.sim ~delay:first_gap arrival : Sim.handle)
+  ignore (Sim.schedule_fn_after t.sim ~delay:first_gap arrival 0 : Sim.handle)
 
 (* Record a distinct logical completion at time [now] with latency [lat]. *)
 let[@zygos.hot] record_completion t ~now ~measured ~lat =

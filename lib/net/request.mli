@@ -16,7 +16,7 @@
 
 type t = int
 (** Handle: [(generation lsl slot_bits) lor slot]. Immediate, so it can
-    ride in any int-payload channel (Sim.schedule_fn iargs, Sched event
+    ride in any int-payload channel (Sim event payloads, Sched event
     queues, Intq rings) without boxing. *)
 
 type pool

@@ -15,6 +15,7 @@ type icore = {
 let make sim (p : Params.t) ~pool ~route ~note ~respond =
   let p = Params.validate p in
   let faults = Params.corefaults p in
+  let kbuf = Sim.key_buffer sim in
   let cores =
     Array.init p.cores (fun id ->
         { id; ring = Net.Ring.create ~capacity:p.ring_capacity; busy = false;
@@ -65,16 +66,16 @@ let make sim (p : Params.t) ~pool ~route ~note ~respond =
        done;
        for i = 0 to k - 1 do
          let sent = advance c (Array.unsafe_get c.tbuf 0) (pkts *. p.dp_tx) in
+         Array.unsafe_set kbuf 0 sent;
          let _ : Sim.handle =
            (* [respond] is itself an [int -> unit] over the handle: the
               long-lived dispatch fn, no per-response closure. *)
-           Sim.schedule_fn sim ~at:sent respond (Array.unsafe_get c.batch i)
+           Sim.schedule_fn_keyed sim respond (Array.unsafe_get c.batch i)
          in
          Array.unsafe_set c.tbuf 0 sent
        done;
-       let _ : Sim.handle =
-         Sim.schedule_fn sim ~at:(Array.unsafe_get c.tbuf 0) fn_iteration c.id
-       in
+       Array.unsafe_set kbuf 0 (Array.unsafe_get c.tbuf 0);
+       let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_iteration c.id in
        ()
      end)
   [@@zygos.hot]

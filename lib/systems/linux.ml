@@ -20,6 +20,7 @@ type pcore = {
 let partitioned sim (p : Params.t) ~pool ~conns ~respond =
   let p = Params.validate p in
   let faults = Params.corefaults p in
+  let kbuf = Sim.key_buffer sim in
   let rss = Net.Rss.create ~queues:p.cores () in
   let home = Array.init conns (fun c -> Net.Rss.queue_of_conn rss c) in
   let cores =
@@ -34,11 +35,10 @@ let partitioned sim (p : Params.t) ~pool ~conns ~respond =
      else begin
        Request.set_started pool req (Sim.now sim);
        let work = per_request_overhead +. Request.service pool req in
-       let done_at =
-         Corefault.completion_time faults ~core:c.id ~now:(Sim.now sim) ~work
-       in
+       Array.unsafe_set kbuf 0
+         (Corefault.completion_time faults ~core:c.id ~now:(Sim.now sim) ~work);
        c.cur <- req;
-       let _ : Sim.handle = Sim.schedule_fn sim ~at:done_at fn_done c.id in
+       let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_done c.id in
        ()
      end)
   [@@zygos.hot]
@@ -98,6 +98,7 @@ type fstate = {
 let floating sim (p : Params.t) ~pool ~conns ~respond =
   let p = Params.validate p in
   let faults = Params.corefaults p in
+  let kbuf = Sim.key_buffer sim in
   (* The kernel buffers bursts in per-socket receive queues, not a NIC
      ring the application sees; the aggregate socket-buffer budget still
      bounds how far the backlog can grow before packets are refused. *)
@@ -129,8 +130,8 @@ let floating sim (p : Params.t) ~pool ~conns ~respond =
        (if woken then p.linux_wakeup else 0.)
        +. p.linux_epoll +. thread_overhead p +. Request.service pool req
      in
-     let done_at = Corefault.completion_time faults ~core ~now:(Sim.now sim) ~work in
-     let _ : Sim.handle = Sim.schedule_fn sim ~at:done_at fn_finish req in
+     Array.unsafe_set kbuf 0 (Corefault.completion_time faults ~core ~now:(Sim.now sim) ~work);
+     let _ : Sim.handle = Sim.schedule_fn_keyed sim fn_finish req in
      ())
   [@@zygos.hot]
   and fn_finish req =

@@ -189,18 +189,18 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
       if window <= 0. then invalid_arg "Preemptive.create: consolidation window <= 0";
       let last_busy = ref 0. in
       let quiet = ref 0 in
+      (* The woken core joins the pool and pulls work if any. *)
+      let fn_unparked _ =
+        match Queue.take_opt st.runq with
+        | Some job -> run_slice ~resume_cost:switch_cost job
+        | None -> st.idle_cores <- st.idle_cores + 1
+      in
       let unpark () =
         st.parked <- st.parked - 1;
-        let _ : Sim.handle =
-          Sim.schedule_after sim ~delay:unpark_latency (fun () ->
-              (* The woken core joins the pool and pulls work if any. *)
-              match Queue.take_opt st.runq with
-              | Some job -> run_slice ~resume_cost:switch_cost job
-              | None -> st.idle_cores <- st.idle_cores + 1)
-        in
+        let _ : Sim.handle = Sim.schedule_fn_after sim ~delay:unpark_latency fn_unparked 0 in
         ()
       in
-      let rec tick () =
+      let rec tick _ =
         st.windows <- st.windows + 1;
         let act = active () in
         st.core_time <- st.core_time +. (float_of_int act *. window);
@@ -220,9 +220,9 @@ let create sim (p : Params.t) ~quantum ~switch_cost ~pool ~conns ~respond ?conso
           st.active_target <- st.active_target + 1;
           if st.parked > 0 then unpark ()
         end;
-        if !quiet < 2 then ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle)
+        if !quiet < 2 then ignore (Sim.schedule_fn_after sim ~delay:window tick 0 : Sim.handle)
       in
-      ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle));
+      ignore (Sim.schedule_fn_after sim ~delay:window tick 0 : Sim.handle));
   let info () =
     let base =
       [

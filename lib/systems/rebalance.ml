@@ -7,7 +7,7 @@ let attach sim ~rss ~queues ~read_counts ~window ?(imbalance_threshold = 1.3) ()
   if imbalance_threshold < 1. then invalid_arg "Rebalance.attach: threshold < 1";
   let stats = { windows = 0; moves = 0 } in
   let idle_windows = ref 0 in
-  let rec tick () =
+  let rec tick _ =
     stats.windows <- stats.windows + 1;
     let counts = read_counts () in
     let total = Array.fold_left ( + ) 0 counts in
@@ -55,7 +55,7 @@ let attach sim ~rss ~queues ~read_counts ~window ?(imbalance_threshold = 1.3) ()
     (* Re-arm while traffic flows; stop after two quiet windows so the
        simulation can drain and terminate. *)
     if !idle_windows < 2 then
-      ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle)
+      ignore (Sim.schedule_fn_after sim ~delay:window tick 0 : Sim.handle)
   in
-  ignore (Sim.schedule_after sim ~delay:window tick : Sim.handle);
+  ignore (Sim.schedule_fn_after sim ~delay:window tick 0 : Sim.handle);
   stats

@@ -73,7 +73,7 @@ type t = {
   mutable ipis_sent : int;
   mutable remote_batches : int;
   mutable wc_violations : int;
-  (* Long-lived dispatch fns for [Sim.schedule_fn]: bound once in
+  (* Long-lived dispatch fns for [Sim.schedule_fn_keyed]: bound once in
      [create], so the hot scheduling paths allocate no closures. *)
   (* Segment-completion fns, one per segment kind (iarg = core id): the
      segment event dispatches straight into its continuation — one

@@ -233,10 +233,12 @@ let fake_server sim ~pool ~delay ~respond =
     if !inflight > !peak then peak := !inflight;
     if delay < infinity then
       let _ : Sim.handle =
-        Sim.schedule_after sim ~delay (fun () ->
+        Sim.schedule_fn_after sim ~delay
+          (fun _ ->
             decr inflight;
             Request.set_completion pool req (Sim.now sim);
             respond req)
+          0
       in
       ()
   in
@@ -305,9 +307,10 @@ let test_failover_recovers_dead_server () =
   let n = 40 in
   for id = 1 to n do
     let _ : Sim.handle =
-      Sim.schedule sim
-        ~at:(float_of_int id *. 10.)
-        (fun () -> iface.Systems.Iface.submit (mk_req pool id))
+      Sim.schedule_fn_after sim
+        ~delay:(float_of_int id *. 10.)
+        (fun _ -> iface.Systems.Iface.submit (mk_req pool id))
+        0
     in
     ()
   done;
@@ -486,6 +489,21 @@ let test_rack_sweep_jobs_parity () =
   let par = Experiments.Sweep.run ~jobs:4 ~seed:42 points in
   if seq <> par then Alcotest.fail "rack sweep points differ between -j1 and -j4"
 
+(* ---- Merged info: ratios recomputed, not summed ---- *)
+
+let test_merged_steal_fraction () =
+  let cfg =
+    Rackrun.config ~servers:4 ~system:Run.Zygos ~cores:4 ~conns:64 ~requests:2_000 ~seed:3
+      ~policy:Policy.Random ~service:(Dist.exponential 10.) ()
+  in
+  let p = Rackrun.run cfg ~load:0.8 in
+  let get k = List.assoc k p.Run.info in
+  let local = get "local_events" and stolen = get "stolen_events" in
+  Alcotest.(check bool) "servers stole work" true (stolen > 0.);
+  let frac = get "steal_fraction" in
+  Alcotest.(check (float 1e-12)) "ratio of merged counters" (stolen /. (local +. stolen)) frac;
+  Alcotest.(check bool) "in [0, 1]" true (frac >= 0. && frac <= 1.)
+
 (* ---- Acceptance: two-level scheduling & robustness ---- *)
 
 let acceptance_cfg ?feedback_delay ?failplan ~policy () =
@@ -581,6 +599,9 @@ let () =
           Alcotest.test_case "heap == wheel" `Slow test_rack_equeue_parity;
           Alcotest.test_case "-j1 == -j4 sweep" `Slow test_rack_sweep_jobs_parity;
         ] );
+      ( "merged info",
+        [ Alcotest.test_case "steal_fraction from merged counters" `Quick
+            test_merged_steal_fraction ] );
       ( "acceptance",
         [
           Alcotest.test_case "policies vs centralized bound" `Slow test_policy_vs_bound;

@@ -23,7 +23,7 @@ let test_heap_interleaved () =
 
 let test_sim_cancel_after_fire () =
   let sim = Sim.create () in
-  let h = Sim.schedule sim ~at:1. (fun () -> ()) in
+  let h = Sim.schedule_fn_after sim ~delay:1. ignore 0 in
   Sim.run sim;
   (* cancelling a fired event is a harmless no-op *)
   Sim.cancel sim h;
@@ -33,7 +33,7 @@ let test_sim_cancel_after_fire () =
 let test_sim_zero_delay_event () =
   let sim = Sim.create () in
   let fired = ref false in
-  ignore (Sim.schedule_after sim ~delay:0. (fun () -> fired := true) : Sim.handle);
+  ignore (Sim.schedule_fn_after sim ~delay:0. (fun _ -> fired := true) 0 : Sim.handle);
   Sim.run sim;
   Alcotest.(check bool) "zero-delay fires" true !fired
 

@@ -256,12 +256,17 @@ let test_heap_peek_then_drop () =
 
 (* ---- Sim ---- *)
 
+(* Schedule [f] at absolute time [t] through the keyed core. *)
+let at sim t f =
+  (Sim.key_buffer sim).(0) <- t;
+  Sim.schedule_fn_keyed sim (fun _ -> f ()) 0
+
 let test_sim_ordering () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.schedule sim ~at:3. (fun () -> log := 3 :: !log) : Sim.handle);
-  ignore (Sim.schedule sim ~at:1. (fun () -> log := 1 :: !log) : Sim.handle);
-  ignore (Sim.schedule sim ~at:2. (fun () -> log := 2 :: !log) : Sim.handle);
+  ignore (at sim 3. (fun () -> log := 3 :: !log) : Sim.handle);
+  ignore (at sim 1. (fun () -> log := 1 :: !log) : Sim.handle);
+  ignore (at sim 2. (fun () -> log := 2 :: !log) : Sim.handle);
   Sim.run sim;
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log);
   check_float "clock at last event" 3. (Sim.now sim)
@@ -269,7 +274,7 @@ let test_sim_ordering () =
 let test_sim_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
-  let h = Sim.schedule sim ~at:1. (fun () -> fired := true) in
+  let h = at sim 1. (fun () -> fired := true) in
   Sim.cancel sim h;
   Sim.run sim;
   Alcotest.(check bool) "cancelled event did not fire" false !fired
@@ -279,11 +284,11 @@ let test_sim_pool_recycles () =
      slots, recycling the same slot instead of allocating fresh ones. *)
   let sim = Sim.create () in
   let count = ref 0 in
-  let rec tick () =
+  let rec tick _ =
     incr count;
-    if !count < 1_000 then ignore (Sim.schedule_after sim ~delay:1. tick : Sim.handle)
+    if !count < 1_000 then ignore (Sim.schedule_fn_after sim ~delay:1. tick 0 : Sim.handle)
   in
-  ignore (Sim.schedule_after sim ~delay:1. tick : Sim.handle);
+  ignore (Sim.schedule_fn_after sim ~delay:1. tick 0 : Sim.handle);
   Sim.run sim;
   let s = Sim.stats sim in
   Alcotest.(check int) "all fired" 1_000 s.Sim.fired;
@@ -296,10 +301,10 @@ let test_sim_stale_handle_is_inert () =
   (* After an event fires, its pool slot may be reused by a new event; the
      old handle must not be able to cancel the new occupant. *)
   let sim = Sim.create () in
-  let first = Sim.schedule sim ~at:1. (fun () -> ()) in
+  let first = at sim 1. ignore in
   Sim.run sim;
   let fired = ref false in
-  ignore (Sim.schedule sim ~at:2. (fun () -> fired := true) : Sim.handle);
+  ignore (at sim 2. (fun () -> fired := true) : Sim.handle);
   Sim.cancel sim first;
   (* stale: same slot, older generation *)
   Sim.run sim;
@@ -308,9 +313,9 @@ let test_sim_stale_handle_is_inert () =
 
 let test_sim_cancel_frees_slot () =
   let sim = Sim.create () in
-  let h = Sim.schedule sim ~at:5. (fun () -> ()) in
+  let h = at sim 5. ignore in
   Sim.cancel sim h;
-  ignore (Sim.schedule sim ~at:6. (fun () -> ()) : Sim.handle);
+  ignore (at sim 6. ignore : Sim.handle);
   Sim.run sim;
   let s = Sim.stats sim in
   Alcotest.(check int) "one cancel" 1 s.Sim.cancelled;
@@ -320,24 +325,51 @@ let test_sim_cancel_frees_slot () =
 
 let test_sim_past_raises () =
   let sim = Sim.create () in
-  ignore (Sim.schedule sim ~at:5. (fun () -> ()) : Sim.handle);
+  ignore (at sim 5. ignore : Sim.handle);
   Sim.run sim;
   Alcotest.check_raises "past scheduling rejected"
-    (Invalid_argument "Sim.schedule: at 1 is in the past (now 5)") (fun () ->
-      ignore (Sim.schedule sim ~at:1. (fun () -> ()) : Sim.handle))
+    (Invalid_argument "Sim.schedule_fn_keyed: at 1 is in the past (now 5)") (fun () ->
+      ignore (at sim 1. ignore : Sim.handle))
 
 let test_sim_negative_delay_raises () =
   let sim = Sim.create () in
-  Alcotest.check_raises "negative delay" (Invalid_argument "Sim.schedule_after: negative delay")
-    (fun () -> ignore (Sim.schedule_after sim ~delay:(-1.) (fun () -> ()) : Sim.handle))
+  Alcotest.check_raises "negative delay" (Invalid_argument "Sim.schedule_fn_after: negative delay")
+    (fun () -> ignore (Sim.schedule_fn_after sim ~delay:(-1.) ignore 0 : Sim.handle))
+
+(* A rejected schedule must leave the pool as it found it: no slot taken,
+   nothing queued, no counter moved. *)
+let test_sim_rejected_schedule_leaks_nothing () =
+  List.iter
+    (fun queue ->
+      let sim = Sim.create ~queue () in
+      ignore (at sim 5. ignore : Sim.handle);
+      Sim.run sim;
+      ignore (at sim 8. ignore : Sim.handle);
+      let live = Sim.live sim and pending = Sim.pending sim and stats = Sim.stats sim in
+      let unchanged what =
+        Alcotest.(check int) (what ^ ": live") live (Sim.live sim);
+        Alcotest.(check int) (what ^ ": pending") pending (Sim.pending sim);
+        Alcotest.(check bool) (what ^ ": stats") true (Sim.stats sim = stats)
+      in
+      (match at sim 1. ignore with
+      | _ -> Alcotest.fail "past key accepted"
+      | exception Invalid_argument _ -> unchanged "past key");
+      (match Sim.schedule_fn_after sim ~delay:(-1.) ignore 0 with
+      | _ -> Alcotest.fail "negative delay accepted"
+      | exception Invalid_argument _ -> unchanged "negative delay");
+      Sim.run sim;
+      Alcotest.(check int) "only the valid events fired" 2 (Sim.stats sim).Sim.fired)
+    [ Engine.Equeue.Heap; Engine.Equeue.Wheel ]
 
 let test_sim_nested_scheduling () =
   let sim = Sim.create () in
   let log = ref [] in
   ignore
-    (Sim.schedule sim ~at:1. (fun () ->
+    (at sim 1. (fun () ->
          log := "outer" :: !log;
-         ignore (Sim.schedule_after sim ~delay:1. (fun () -> log := "inner" :: !log) : Sim.handle))
+         ignore
+           (Sim.schedule_fn_after sim ~delay:1. (fun _ -> log := "inner" :: !log) 0
+             : Sim.handle))
       : Sim.handle);
   Sim.run sim;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log);
@@ -347,7 +379,7 @@ let test_sim_run_until () =
   let sim = Sim.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Sim.schedule sim ~at:(float_of_int i) (fun () -> incr count) : Sim.handle)
+    ignore (at sim (float_of_int i) (fun () -> incr count) : Sim.handle)
   done;
   Sim.run_until sim 5.5;
   Alcotest.(check int) "events before horizon" 5 !count;
@@ -359,7 +391,7 @@ let test_sim_same_time_fifo () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Sim.schedule sim ~at:1. (fun () -> log := i :: !log) : Sim.handle)
+    ignore (at sim 1. (fun () -> log := i :: !log) : Sim.handle)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "FIFO at same instant" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -406,6 +438,8 @@ let () =
           Alcotest.test_case "cancel frees slot" `Quick test_sim_cancel_frees_slot;
           Alcotest.test_case "past raises" `Quick test_sim_past_raises;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay_raises;
+          Alcotest.test_case "rejected schedule leaks no slot" `Quick
+            test_sim_rejected_schedule_leaks_nothing;
           Alcotest.test_case "nested" `Quick test_sim_nested_scheduling;
           Alcotest.test_case "run_until" `Quick test_sim_run_until;
           Alcotest.test_case "same-time FIFO" `Quick test_sim_same_time_fifo;

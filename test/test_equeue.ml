@@ -184,22 +184,35 @@ let test_pop_into_add_key_duals () =
 
 (* ---- Sim-level equivalence: schedule/cancel under both queues ---- *)
 
-(* Replay one deterministic schedule/cancel/step script against a sim on
-   each queue kind, recording every fire; traces must be identical. *)
-let run_script kind ops =
+(* Which entry point a script's schedule ops use: by default ops 0-2 go
+   through [key_buffer] + [schedule_fn_keyed] and ops 3-4 through
+   [schedule_fn_after]; [Keyed] and [After] route all of them through
+   one. Either way the event time is [now +. delay]. *)
+type api = Mixed | Keyed | After
+
+(* Replay one deterministic schedule/cancel/step script against a sim,
+   recording every fire; traces must not depend on queue or entry point. *)
+let run_script ?(api = Mixed) kind ops =
   let sim = Sim.create ~queue:kind () in
   let trace = Buffer.create 256 in
   let handles = ref [] in
   let fire id = Buffer.add_string trace (Printf.sprintf "%h:%d;" (Sim.now sim) id) in
+  let schedule ~keyed k id =
+    let delay = float_of_int k /. 2. in
+    let h =
+      if keyed then begin
+        (Sim.key_buffer sim).(0) <- Sim.now sim +. delay;
+        Sim.schedule_fn_keyed sim fire id
+      end
+      else Sim.schedule_fn_after sim ~delay fire id
+    in
+    handles := h :: !handles
+  in
   List.iter
     (fun (op, k) ->
       match op with
-      | 0 | 1 | 2 ->
-          let delay = float_of_int k /. 2. in
-          handles := Sim.schedule_after sim ~delay (fun () -> fire k) :: !handles
-      | 3 | 4 ->
-          let delay = float_of_int k /. 2. in
-          handles := Sim.schedule_fn_after sim ~delay fire (1000 + k) :: !handles
+      | 0 | 1 | 2 -> schedule ~keyed:(api <> After) k k
+      | 3 | 4 -> schedule ~keyed:(api = Keyed) k (1000 + k)
       | 5 -> (
           (* cancel the k-th outstanding handle, if any *)
           match List.nth_opt !handles (k mod max 1 (List.length !handles)) with
@@ -211,47 +224,30 @@ let run_script kind ops =
   Buffer.add_string trace (Printf.sprintf "end:%h" (Sim.now sim));
   Buffer.contents trace
 
+let op_gen = QCheck.Gen.(list (pair (int_bound 7) (int_bound 20)))
+
 let prop_sim_trace_queue_independent =
-  let op_gen = QCheck.Gen.(list (pair (int_bound 7) (int_bound 20))) in
   QCheck.Test.make ~name:"sim traces identical under heap and wheel" ~count:200
     (QCheck.make ~print:(fun ops -> string_of_int (List.length ops)) op_gen)
     (fun ops ->
       String.equal (run_script Equeue.Heap ops) (run_script Equeue.Wheel ops))
 
-(* The two dispatch APIs must also produce the same trace: the same
-   workload scheduled through closures and through (fn, iarg) pairs. *)
-let run_chain kind ~fn_api =
-  let sim = Sim.create ~queue:kind () in
-  let rng = Engine.Rng.create ~seed:7 in
-  let trace = Buffer.create 256 in
-  let remaining = ref 500 in
-  let rec arm id =
-    if !remaining > 0 then begin
-      decr remaining;
-      let delay = Engine.Rng.float rng *. 20. in
-      if fn_api then ignore (Sim.schedule_fn_after sim ~delay fire id : Sim.handle)
-      else ignore (Sim.schedule_after sim ~delay (fun () -> fire id) : Sim.handle)
-    end
-  and fire id =
-    Buffer.add_string trace (Printf.sprintf "%h:%d;" (Sim.now sim) id);
-    arm ((id + 1) land 0xff)
-  in
-  for id = 0 to 3 do
-    arm id
-  done;
-  Sim.run sim;
-  Buffer.contents trace
-
+(* The two entry points must produce the same trace: the same scripts
+   scheduled all-keyed and all-after, on both queues. *)
 let test_dispatch_api_parity () =
-  let reference = run_chain Equeue.Heap ~fn_api:false in
+  let rand = Random.State.make [| 7 |] in
   List.iter
-    (fun (kind, fn_api, label) ->
-      Alcotest.(check string) label reference (run_chain kind ~fn_api))
-    [
-      (Equeue.Heap, true, "heap + schedule_fn");
-      (Equeue.Wheel, false, "wheel + closures");
-      (Equeue.Wheel, true, "wheel + schedule_fn");
-    ]
+    (fun ops ->
+      let reference = run_script ~api:Keyed Equeue.Heap ops in
+      List.iter
+        (fun (kind, api, label) ->
+          Alcotest.(check string) label reference (run_script ~api kind ops))
+        [
+          (Equeue.Heap, After, "heap + schedule_fn_after");
+          (Equeue.Wheel, Keyed, "wheel + schedule_fn_keyed");
+          (Equeue.Wheel, After, "wheel + schedule_fn_after");
+        ])
+    (QCheck.Gen.generate ~rand ~n:100 op_gen)
 
 (* ---- figure byte-parity across queue back ends ---- *)
 

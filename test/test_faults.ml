@@ -114,8 +114,9 @@ let test_blackhole_window () =
   let delivered = ref [] in
   let send_at at =
     let _ : Sim.handle =
-      Sim.schedule sim ~at (fun () ->
-          Faults.apply f at ~deliver:(fun t -> delivered := t :: !delivered))
+      Sim.schedule_fn_after sim ~delay:at
+        (fun _ -> Faults.apply f at ~deliver:(fun t -> delivered := t :: !delivered))
+        0
     in
     ()
   in
@@ -332,7 +333,7 @@ let test_retry_recovers_loss () =
   Loadgen.set_target gen (fun req ->
       if not (Request.measured pool req) then
         let _ : Sim.handle =
-          Sim.schedule_after sim ~delay:1. (fun () -> Loadgen.complete gen req)
+          Sim.schedule_fn_after sim ~delay:1. (fun _ -> Loadgen.complete gen req) 0
         in
         ());
   Loadgen.start gen ~warmup:0. ~measure:300.;
@@ -358,9 +359,11 @@ let test_duplicate_responses_tolerated () =
   in
   Loadgen.set_target gen (fun req ->
       let _ : Sim.handle =
-        Sim.schedule_after sim ~delay:2. (fun () ->
+        Sim.schedule_fn_after sim ~delay:2.
+          (fun _ ->
             Loadgen.complete gen req;
             Loadgen.complete gen req)
+          0
       in
       ());
   Loadgen.start gen ~warmup:0. ~measure:200.;
@@ -407,20 +410,20 @@ let test_sojourn_boundary () =
   Overload.admit g r1 ~forward:fwd;
   (* Head has been in for < bound: still admitting. *)
   let _ : Sim.handle =
-    Sim.schedule_after sim ~delay:5. (fun () ->
-        Overload.admit g (mk_req 2) ~forward:fwd)
+    Sim.schedule_fn_after sim ~delay:5. (fun _ -> Overload.admit g (mk_req 2) ~forward:fwd) 0
   in
   (* Head exceeds the bound: shed. *)
   let _ : Sim.handle =
-    Sim.schedule_after sim ~delay:20. (fun () ->
-        Overload.admit g (mk_req 3) ~forward:fwd)
+    Sim.schedule_fn_after sim ~delay:20. (fun _ -> Overload.admit g (mk_req 3) ~forward:fwd) 0
   in
   (* Head retired: admitting again even though time has passed. *)
   let _ : Sim.handle =
-    Sim.schedule_after sim ~delay:30. (fun () ->
+    Sim.schedule_fn_after sim ~delay:30.
+      (fun _ ->
         Overload.note_response g r1;
         Overload.note_response g (mk_req 2);
         Overload.admit g (mk_req 4) ~forward:fwd)
+      0
   in
   Sim.run sim;
   Alcotest.(check int) "admitted 1, 2 and 4" 3 !forwarded;

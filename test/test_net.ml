@@ -229,7 +229,7 @@ let run_loadgen ~rate ~conns ~echo_delay =
   in
   Loadgen.set_target gen (fun req ->
       ignore
-        (Sim.schedule_after sim ~delay:echo_delay (fun () -> Loadgen.complete gen req)
+        (Sim.schedule_fn_after sim ~delay:echo_delay (fun _ -> Loadgen.complete gen req) 0
           : Sim.handle));
   Loadgen.start gen ~warmup:100. ~measure:1000.;
   Sim.run sim;

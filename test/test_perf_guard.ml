@@ -1,76 +1,26 @@
-(* Perf-regression guard for the PR 1 allocation-free engine hot path.
+(* Perf-regression guard for the allocation-free engine hot path.
 
    Two invariants, asserted on a warmed-up steady-state window so pool
-   growth and closure creation are excluded:
+   growth is excluded:
 
-   - the engine's schedule/fire cycle allocates ~nothing on the minor
-     heap (the only sanctioned per-event allocation is a caller-supplied
-     closure, and the steady-state loop below reuses one closure);
+   - the engine's schedule/fire cycle allocates nothing on the minor
+     heap: events are a long-lived fn plus an int payload, and event
+     times travel through flat one-element float arrays in both
+     directions ([Heap.add_key] / [pop_into]), so no float is boxed;
    - the event pool recycles its slots: [reused / scheduled] approaches 1
      and [pool_slots] stays at the high-water mark of concurrently
      pending events.
 
-   If either drifts, the SoA-heap/pooled-event rewrite has silently
-   regressed into an allocating path.
+   The per-event bound sits essentially at zero, so any pooled-record or
+   re-boxing regression trips it immediately. *)
 
-   Through PR 3 the steady-state floor on non-flambda OCaml was 4 minor
-   words/event: two transient float boxes (the [at] argument built in
-   [schedule_after], and the boxed min-time return consumed by [step])
-   that cross-module float passing always costs. PR 4 routes event times
-   through a flat one-element float array in both directions
-   ([Heap.add_key] / [pop_into]), which removes both boxes: the floor is
-   now 0 for either dispatch API, and the bounds below sit at the
-   ISSUE-4 acceptance level (4.5, under the old 4-word floor) for the
-   closure path and essentially zero for the closure-free path — any
-   pooled-record or re-boxing regression trips them immediately. *)
-
-let words_per_event_bound = 4.5
 let fn_words_per_event_bound = 0.5
 
 module Sim = Engine.Sim
 
-let test_minor_words_per_event () =
-  let sim = Sim.create () in
-  (* One self-rescheduling closure: steady state with a single pending
-     event, exercising schedule + heap sift + fire on every step. *)
-  let rec tick () = ignore (Sim.schedule_after sim ~delay:1.0 tick : Sim.handle) in
-  tick ();
-  for _ = 1 to 1_000 do
-    ignore (Sim.step sim : bool)
-  done;
-  let events = 50_000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to events do
-    ignore (Sim.step sim : bool)
-  done;
-  let per_event = (Gc.minor_words () -. w0) /. float_of_int events in
-  if per_event > words_per_event_bound then
-    Alcotest.failf "steady-state Sim allocates %.2f minor words/event (want <= %g)"
-      per_event words_per_event_bound
-
-let test_deep_heap_minor_words () =
-  (* Same guard at depth 512 (a realistic pending-event population), so a
-     regression in the heap's sift path can't hide behind a depth-1 run. *)
-  let sim = Sim.create () in
-  let rec tick () = ignore (Sim.schedule_after sim ~delay:512.0 tick : Sim.handle) in
-  for _ = 1 to 512 do
-    tick ()
-  done;
-  for _ = 1 to 2_048 do
-    ignore (Sim.step sim : bool)
-  done;
-  let events = 50_000 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to events do
-    ignore (Sim.step sim : bool)
-  done;
-  let per_event = (Gc.minor_words () -. w0) /. float_of_int events in
-  if per_event > words_per_event_bound then
-    Alcotest.failf "deep-heap Sim allocates %.2f minor words/event (want <= %g)"
-      per_event words_per_event_bound
-
-(* The same two guards through the closure-free API: a long-lived fn and
-   an int payload, so the loop must allocate nothing at all. *)
+(* One self-rescheduling long-lived fn with an int payload: steady state
+   with a single pending event, exercising schedule + queue + fire on
+   every step, so the loop must allocate nothing at all. *)
 let test_fn_minor_words_per_event () =
   let sim = Sim.create () in
   let rec tick _ = ignore (Sim.schedule_fn_after sim ~delay:1.0 tick 0 : Sim.handle) in
@@ -88,6 +38,8 @@ let test_fn_minor_words_per_event () =
     Alcotest.failf "schedule_fn steady state allocates %.2f minor words/event (want <= %g)"
       per_event fn_words_per_event_bound
 
+(* Same guard at depth 512 (a realistic pending-event population), so a
+   regression in the queue's sift path can't hide behind a depth-1 run. *)
 let test_fn_deep_minor_words () =
   let sim = Sim.create () in
   let rec tick _ = ignore (Sim.schedule_fn_after sim ~delay:512.0 tick 0 : Sim.handle) in
@@ -109,9 +61,9 @@ let test_fn_deep_minor_words () =
 
 let test_pool_reuse_ratio () =
   let sim = Sim.create () in
-  let rec tick () = ignore (Sim.schedule_after sim ~delay:1.0 tick : Sim.handle) in
+  let rec tick _ = ignore (Sim.schedule_fn_after sim ~delay:1.0 tick 0 : Sim.handle) in
   for _ = 1 to 64 do
-    tick ()
+    tick 0
   done;
   for _ = 1 to 100_000 do
     ignore (Sim.step sim : bool)
@@ -180,10 +132,6 @@ let () =
     [
       ( "allocation-free hot path",
         [
-          Alcotest.test_case "steady-state minor words/event ~ 0" `Quick
-            test_minor_words_per_event;
-          Alcotest.test_case "depth-512 minor words/event ~ 0" `Quick
-            test_deep_heap_minor_words;
           Alcotest.test_case "schedule_fn minor words/event = 0" `Quick
             test_fn_minor_words_per_event;
           Alcotest.test_case "deep schedule_fn minor words/event = 0" `Quick

@@ -102,10 +102,12 @@ let test_ipi_rescues_packet_behind_user_code () =
     (* B arrives once core 0 is deep in user code. *)
     let short_req = ref None in
     let _ : Sim.handle =
-      Sim.schedule sim ~at:20. (fun () ->
+      Sim.schedule_fn_after sim ~delay:20.
+        (fun _ ->
           let r = mk_req pool ~id:1 ~conn:b ~service:5. 20. in
           short_req := Some r;
           iface.Systems.Iface.submit r)
+        0
     in
     Sim.run sim;
     let r = Option.get !short_req in
@@ -157,8 +159,9 @@ let test_interrupt_extends_current_task () =
     iface.Systems.Iface.submit long_req;
     if second_arrives then begin
       let _ : Sim.handle =
-        Sim.schedule sim ~at:10. (fun () ->
-            iface.Systems.Iface.submit (mk_req pool ~id:1 ~conn:b ~service:1. 10.))
+        Sim.schedule_fn_after sim ~delay:10.
+          (fun _ -> iface.Systems.Iface.submit (mk_req pool ~id:1 ~conn:b ~service:1. 10.))
+          0
       in
       ()
     end;
