@@ -201,8 +201,17 @@ let micro_tests () =
         incr counter;
         ignore (Net.Rss.queue_of_conn rss (!counter land 0x3ff) : int))
   in
-  let tally = Stats.Tally.create () in
-  let tally_bench = one "stats: tally record" (fun () -> Stats.Tally.record tally 12.5) in
+  let tally_bench =
+    (* Cleared every 4096 samples, so the reservoir never grows past its
+       first doubling: a tally that is never cleared times the doubling
+       copies of an ever larger array, not the record. *)
+    let tally = Stats.Tally.create () in
+    let counter = ref 0 in
+    one "stats: tally record" (fun () ->
+        incr counter;
+        if !counter land 4095 = 0 then Stats.Tally.clear tally;
+        Stats.Tally.record tally 12.5)
+  in
   let histogram = Stats.Histogram.create () in
   let histogram_bench =
     (* Latency samples vary in magnitude, which defeats the branch/operand
@@ -224,6 +233,14 @@ let micro_tests () =
         match S.next_local sched ~core:0 with
         | Some (p, _, _) -> S.complete sched p
         | None -> assert false)
+  in
+  let victim_order_bench cores =
+    (* The randomized victim permutation an idle ZygOS core draws on every
+       poll: a shuffle of the cores-1 other cores. *)
+    let policy = Core.Steal_policy.create ~rng:(Engine.Rng.create ~seed:3) ~cores ~self:0 in
+    one
+      (Printf.sprintf "core: steal victim order (%d cores)" cores)
+      (fun () -> ignore (Core.Steal_policy.victim_order policy : int array))
   in
   let btree = Silo.Btree.create () in
   let () =
@@ -276,6 +293,8 @@ let micro_tests () =
     tally_bench;
     histogram_bench;
     sched_bench;
+    victim_order_bench 16;
+    victim_order_bench 64;
     btree_get_bench;
     btree_churn_bench;
     payment_bench;

@@ -38,9 +38,6 @@ val int : t -> int -> int
 val int_range : t -> int -> int -> int
 (** [int_range t lo hi] is uniform in [lo, hi] (inclusive). *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
 
@@ -50,5 +47,8 @@ val exponential : t -> mean:float -> float
 val normal : t -> mu:float -> sigma:float -> float
 (** Gaussian sample (Box–Muller). *)
 
-val shuffle_in_place : t -> 'a array -> unit
-(** Fisher–Yates shuffle. Used to randomize steal-victim polling order. *)
+val shuffle_in_place : t -> int array -> unit
+(** Fisher–Yates shuffle, used to randomize steal-victim polling order.
+    For [i] from [length - 1] down to [1], each step draws exactly
+    [int t (i + 1)] and swaps index [i] with the drawn one, so a shuffle
+    of length [n] consumes [max 0 (n - 1)] draws. *)

@@ -16,6 +16,10 @@
 
 type t
 
+val ctz : int -> int
+(** Trailing zero bits of a nonzero [x < 2{^32}] (de Bruijn multiply),
+    for any bitmap kept in 32-bit words. *)
+
 val create : ?capacity:int -> ?dummy:int -> unit -> t
 (** [create ?capacity ?dummy ()] is an empty wheel. [capacity] presizes
     the node pool (it grows by doubling); [dummy] (default [0]) is the

@@ -68,6 +68,9 @@ type t = {
   sched : Request.t Sched.t;
   pcbs : Request.t Sched.pcb array;
   zcores : zcore array;
+  (* mode bitmaps: core [id] is bit [id land 31] of word [id lsr 5] *)
+  idle_bits : int array;
+  user_bits : int array;
   respond : Request.t -> unit;
   trace : (float -> trace_event -> unit) option;
   mutable ipis_sent : int;
@@ -89,6 +92,29 @@ type t = {
   mutable fn_remote_release : int -> unit;  (* iarg = connection id *)
 }
 
+(* ---- mode bitmaps ---- *)
+
+(* The lowest set bit at or above [from], or -1. *)
+let[@zygos.hot] rec next_bit bits from =
+  let w = from lsr 5 in
+  if w >= Array.length bits then -1
+  else
+    let m = bits.(w) land (-1 lsl (from land 31)) in
+    if m = 0 then next_bit bits ((w + 1) lsl 5) else (w lsl 5) lor Engine.Wheel.ctz m
+
+let[@zygos.hot] flip_mode_bit t c =
+  let w = c.id lsr 5 and bit = 1 lsl (c.id land 31) in
+  match c.mode with
+  | Midle -> t.idle_bits.(w) <- t.idle_bits.(w) lxor bit
+  | Muser -> t.user_bits.(w) <- t.user_bits.(w) lxor bit
+  | Mkernel -> ()
+
+(* The one place a core's mode changes, so the bitmaps follow it. *)
+let[@zygos.hot] set_mode t c mode =
+  flip_mode_bit t c;
+  c.mode <- mode;
+  flip_mode_bit t c
+
 (* ---- timed segments ----
 
    A core executes one timed segment at a time (user execution of one
@@ -108,7 +134,7 @@ type t = {
    fault-free steady state keeps the arithmetic inline and unboxed. *)
 let[@zygos.hot] start_segment t c ~mode ~cost ~finish =
   assert (c.cur_handle = Sim.no_handle);
-  c.mode <- mode;
+  set_mode t c mode;
   if c.cur_fn != finish then c.cur_fn <- finish;
   let at =
     if t.fault_free then Array.unsafe_get t.clk 0 +. cost
@@ -159,12 +185,13 @@ let rec wake t c ~delay =
 [@@zygos.hot]
 
 and wake_idlers t ~delay =
-  (* for-loop, not Array.iter: the iter closure would capture [t]/[delay]
-     and be rebuilt on every call. *)
-  (let zs = t.zcores in
-   for i = 0 to Array.length zs - 1 do
-     let c = zs.(i) in
-     if c.mode = Midle then wake t c ~delay
+  (* ascending core order: equal-time wakes fire in scheduling order *)
+  (let i = ref (next_bit t.idle_bits 0) in
+   while !i >= 0 do
+     let c = t.zcores.(!i) in
+     assert (c.mode = Midle);
+     wake t c ~delay;
+     i := next_bit t.idle_bits (!i + 1)
    done)
 [@@zygos.hot]
 
@@ -394,7 +421,7 @@ and try_rx t c =
 [@@zygos.hot]
 
 and go_idle t c =
-  (c.mode <- Midle;
+  (set_mode t c Midle;
    (* Work-conservation invariant: this core just scanned every shuffle
       queue and found nothing; if anything is ready now, the scheduler
       failed to be work conserving. *)
@@ -404,22 +431,33 @@ and go_idle t c =
 
 (* Idle-loop steps (c)/(d) of §5: look at other cores' pending packet
    queues; when a busy-at-user core has packets but an empty shuffle
-   queue, interrupt it so it replenishes the shuffle queue for stealing. *)
+   queue, interrupt it so it replenishes the shuffle queue for stealing.
+
+   The victim order is drawn on every call, keeping the RNG stream.
+   [send_ipi] changes no other core's candidacy, so only two or more
+   candidates need the walk that fixes their IPI order. *)
 and scan_and_ipi t c =
-  (* for-loop over the victim order, not Array.iter: the iter closure
-     would capture [t]/[c] and be rebuilt per idle transition. *)
   (let order = victim_order t c in
-   for k = 0 to Array.length order - 1 do
-     let vid = order.(k) in
-     let v = t.zcores.(vid) in
-     if v.mode = Muser then begin
-       let packets_blocked =
-         (not (Net.Ring.is_empty v.hw)) && Sched.queue_length t.sched ~core:vid = 0
-       in
-       let syscalls_blocked = not (RQ.is_empty v.remote) in
-       if packets_blocked || syscalls_blocked then send_ipi t ~src:c.id v
-     end
-   done)
+   let first = next_candidate t 0 in
+   if first >= 0 then
+     if next_candidate t (first + 1) < 0 then send_ipi t ~src:c.id t.zcores.(first)
+     else
+       for k = 0 to Array.length order - 1 do
+         let v = t.zcores.(order.(k)) in
+         if ipi_candidate t v then send_ipi t ~src:c.id v
+       done)
+[@@zygos.hot]
+
+and next_candidate t from =
+  (let vid = next_bit t.user_bits from in
+   if vid < 0 || ipi_candidate t t.zcores.(vid) then vid else next_candidate t (vid + 1))
+[@@zygos.hot]
+
+(* Stuck packets or remote syscalls, and no IPI already on its way. *)
+and ipi_candidate t v =
+  v.mode = Muser && (not v.ipi_pending)
+  && ((not (Net.Ring.is_empty v.hw)) && Sched.queue_length t.sched ~core:v.id = 0
+     || not (RQ.is_empty v.remote))
 [@@zygos.hot]
 
 (* Deliver the first [n] requests of a core's rx scratch to the
@@ -470,6 +508,8 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       sched;
       pcbs;
       zcores;
+      idle_bits = Array.make ((p.cores + 31) / 32) 0;
+      user_bits = Array.make ((p.cores + 31) / 32) 0;
       respond;
       trace;
       ipis_sent = 0;
@@ -485,6 +525,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       fn_remote_release = ignore;
     }
   in
+  Array.iter (flip_mode_bit t) zcores;
   (* Bind the long-lived dispatch fns and per-core continuations now that
      [t] exists; every event scheduled below reaches back through these. *)
   t.fn_step <-

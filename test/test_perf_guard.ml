@@ -111,6 +111,22 @@ let test_request_path_minor_words () =
     Alcotest.failf "request path allocates %.1f minor words/request (want <= %g)" per_req
       request_path_words_bound
 
+(* The steal-victim shuffle runs on every idle-loop poll; at 64 cores it
+   permutes 63 victims, and must allocate nothing doing it. *)
+let test_shuffle_minor_words () =
+  let rng = Engine.Rng.create ~seed:5 in
+  let a = Array.init 63 (fun i -> i) in
+  Engine.Rng.shuffle_in_place rng a;
+  let shuffles = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to shuffles do
+    Engine.Rng.shuffle_in_place rng a
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 0. then
+    Alcotest.failf "%d shuffles of 63 elements allocated %g minor words (want 0)" shuffles
+      words
+
 let test_end_to_end_reuse_ratio () =
   (* The same invariant through the full stack: a ZygOS point's event
      pool must serve almost every schedule from the free list. *)
@@ -137,6 +153,8 @@ let () =
           Alcotest.test_case "deep schedule_fn minor words/event = 0" `Quick
             test_fn_deep_minor_words;
           Alcotest.test_case "event-pool reuse ratio ~ 1" `Quick test_pool_reuse_ratio;
+          Alcotest.test_case "63-element shuffle minor words = 0" `Quick
+            test_shuffle_minor_words;
           Alcotest.test_case "zygos point reuse ratio >= 0.9" `Quick
             test_end_to_end_reuse_ratio;
           Alcotest.test_case "request path minor words/request bounded" `Quick

@@ -224,6 +224,57 @@ let test_trace_consistency () =
   Alcotest.(check int) "remote trace = counter" (int_of_float (get "remote_batches")) !remote;
   Alcotest.(check bool) "steals traced" true (!steals > 0)
 
+(* Short open-loop points at core counts on both sides of the 32-bit
+   word boundaries of the idle/user-mode bitmaps. Each run logs every
+   response (request id, completion time in hex), so heap and wheel can
+   be compared bit for bit. *)
+let bitmap_point ~queue ~interrupts ~cores =
+  let sim = Sim.create ~queue () in
+  let rng = Rng.create ~seed:(100 + cores) in
+  let pool = Request.create_pool ~recycle:true () in
+  let conns = 4 * cores in
+  let gen =
+    Net.Loadgen.create sim ~rng:(Rng.split rng) ~pool ~conns
+      ~rate:(0.6 *. float_of_int cores /. 10.)
+      ~service:(Engine.Dist.exponential 10.) ()
+  in
+  let log = Buffer.create 4096 in
+  let p = default_params cores in
+  let p = if interrupts then p else Systems.Params.no_interrupts p in
+  let iface =
+    Systems.Zygos.create sim p ~rng:(Rng.split rng) ~pool ~conns
+      ~respond:(fun req ->
+        Printf.bprintf log "%d %h\n" (Request.id pool req) (Sim.now sim);
+        Net.Loadgen.complete gen req)
+      ()
+  in
+  Net.Loadgen.set_target gen iface.Systems.Iface.submit;
+  Net.Loadgen.start gen ~warmup:50. ~measure:(10_000. /. float_of_int cores);
+  Sim.run sim;
+  (iface, gen, Buffer.contents log)
+
+let test_bitmap_word_boundaries () =
+  List.iter
+    (fun cores ->
+      List.iter
+        (fun interrupts ->
+          let ctx what = Printf.sprintf "cores=%d interrupts=%b: %s" cores interrupts what in
+          let iface, gen, heap_log =
+            bitmap_point ~queue:Engine.Equeue.Heap ~interrupts ~cores
+          in
+          let _, _, wheel_log = bitmap_point ~queue:Engine.Equeue.Wheel ~interrupts ~cores in
+          Alcotest.(check int)
+            (ctx "work-conservation violations") 0
+            (Systems.Zygos.work_conservation_violations iface);
+          let measured = Net.Loadgen.measured_generated gen in
+          if measured < 100 then Alcotest.failf "%s" (ctx "too few measured requests");
+          Alcotest.(check int)
+            (ctx "every measured request completes") measured
+            (Stats.Tally.count (Net.Loadgen.tally gen));
+          Alcotest.(check string) (ctx "heap = wheel") heap_log wheel_log)
+        [ true; false ])
+    [ 1; 2; 31; 32; 33; 63; 64; 65 ]
+
 let () =
   Alcotest.run "zygos-model"
     [
@@ -242,5 +293,7 @@ let () =
           Alcotest.test_case "idle machine terminates" `Quick test_zero_load_idle_terminates;
           Alcotest.test_case "bounded rx batching" `Quick test_rx_batching_bounded;
           Alcotest.test_case "trace consistency" `Quick test_trace_consistency;
+          Alcotest.test_case "bitmap word boundaries (1..65 cores)" `Quick
+            test_bitmap_word_boundaries;
         ] );
     ]
