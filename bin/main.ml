@@ -1,10 +1,12 @@
 (* zygos: run the paper's figure/table generators, optionally in
-   parallel on a domain pool.
+   parallel on a domain pool, or one experiment point ([zygos point], see
+   point.ml).
 
    Examples:
      dune exec zygos -- fig6 -j 4
      dune exec zygos -- fig8 ablate-batch
      ZYGOS_BENCH_SCALE=0.05 dune exec zygos -- all -j 2
+     dune exec zygos -- point --system ix --load 0.8
 
    Figure output goes to stdout and is byte-identical for every -j value
    (per-point seeds derive from stable point keys, and rendering happens
@@ -14,6 +16,7 @@
 let usage () =
   Printf.eprintf
     "usage: zygos [TARGET...] [-j N] [--scale S] [--equeue heap|wheel]\n\
+     \       zygos point [--system SYSTEM] [--load L] ... (see zygos point --help)\n\
      \  TARGET   one of: %s (default: all)\n\
      \  -j N     run sweep points on N domains (default 1; also ZYGOS_JOBS)\n\
      \  --scale S  request-budget multiplier (default 1.0; also ZYGOS_BENCH_SCALE)\n\
@@ -43,6 +46,9 @@ let env_int name default =
   | None -> default
 
 let () =
+  let argv = Sys.argv in
+  if Array.length argv > 1 && String.equal argv.(1) "point" then
+    Point.main (Array.sub argv 1 (Array.length argv - 1));
   let jobs = ref (env_int "ZYGOS_JOBS" 1) in
   let scale = ref (env_float "ZYGOS_BENCH_SCALE" 1.0) in
   let names = ref [] in

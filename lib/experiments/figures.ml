@@ -1,10 +1,11 @@
-(* Every figure is structured as enumerate -> run -> render: the figure
-   enumerates its grid of independent simulation points into a pure
-   [Sweep.point list], the sweep runner executes them (on [jobs] domains,
-   idle domains stealing), and a sequential render step assembles the
-   results in canonical enumeration order. Each point's randomness comes
-   from a seed derived from [master_seed] and the point's stable key, so
-   the rendered output is byte-identical for every [jobs] value. *)
+(* Every figure is data: a header plus panels, each a table whose rows are
+   some label cells followed by the cells that the row's sweep points
+   render. [render] runs all of a figure's points in one [Sweep.run] (on
+   [jobs] domains, idle domains stealing) and prints the panels in order,
+   so the table shape is written once and enumeration and rendering cannot
+   disagree. Each point's randomness comes from a seed derived from
+   [master_seed] and the point's stable key, so the rendered output is
+   byte-identical for every [jobs] value. *)
 
 module Dist = Engine.Dist
 
@@ -14,23 +15,60 @@ let cores = 16
 
 let master_seed = 42
 
+type row = { label : string list; cells : string list Sweep.point list }
+
+type panel = {
+  title : string option;
+  note : string option;
+  columns : string list;
+  rows : row list;
+}
+
+let panel ?title ?note columns rows = { title; note; columns; rows }
+
+(* A row rendered by a single sweep point, and a row of text only. *)
+let row label key cells = { label; cells = [ Sweep.point ~key cells ] }
+
+let text label = { label; cells = [] }
+
+(* Split [l] after its first [n] elements. *)
+let take n l = (List.filteri (fun i _ -> i < n) l, List.filteri (fun i _ -> i >= n) l)
+
+let render ~jobs header panels =
+  let points = List.concat_map (fun p -> List.concat_map (fun r -> r.cells) p.rows) panels in
+  let results = Sweep.run ~jobs ~seed:master_seed points in
+  Output.print_header header;
+  ignore
+    (List.fold_left
+       (fun results p ->
+         Option.iter Output.print_subheader p.title;
+         Option.iter (Output.printf "%s\n") p.note;
+         let results, rows =
+           List.fold_left_map
+             (fun results r ->
+               let mine, rest = take (List.length r.cells) results in
+               (rest, r.label @ List.concat mine))
+             results p.rows
+         in
+         Output.print_table ~columns:p.columns ~rows;
+         results)
+       results panels
+      : string list list)
+
+(* A figure point's config: [cores] cores and [base] requests at scale 1. *)
+let cfg ?(base = 25_000) ?rpc_packets ?selection ~scale ~system ~service ~seed () =
+  Run.config ~system ~service ~cores ~requests:(requests ~scale base) ?rpc_packets ?selection
+    ~seed ()
+
+let info p key = Option.value ~default:0. (Run.info_value p key)
+
+let count p key = string_of_int (int_of_float (info p key))
+
+let meets ~slo (p : Run.point) = if p.p99 <= slo then "meets" else "violates"
+
 (* The three service-time distributions of §3.4/§6.1, at unit mean. *)
 let dists_of_mean mean =
   [ Dist.deterministic mean; Dist.exponential mean; Dist.bimodal1 ~mean ]
-
-(* Split [l] into consecutive chunks of [size] (render-side reslicing of
-   the flat result list back into the enumeration's nested shape). *)
-let chunks size l =
-  let rec take k l acc = if k = 0 then (List.rev acc, l)
-    else match l with [] -> invalid_arg "chunks: ragged" | x :: tl -> take (k - 1) tl (x :: acc)
-  in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | l ->
-        let c, rest = take size l [] in
-        go (c :: acc) rest
-  in
-  go [] l
 
 (* ---- Figure 2 ---- *)
 
@@ -54,38 +92,31 @@ let fig2 ~jobs ~scale =
       Dist.bimodal2 ~mean:service_mean;
     ]
   in
-  let points =
-    List.concat_map
-      (fun dist ->
-        List.concat_map
-          (fun load ->
-            List.map
-              (fun spec ->
-                Sweep.point
-                  ~key:
-                    (Printf.sprintf "fig2/%s/%s/%g" (Dist.name dist) (name spec) load)
-                  (fun ~seed ->
-                    let r =
-                      simulate spec ~service:dist ~load
-                        ~requests:(requests ~scale 40_000) ~seed
-                    in
-                    Output.f2 (Stats.Tally.p99 r.latencies)))
-              specs)
-          loads)
-      dists
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header "Figure 2: p99 latency vs load, idealized queueing models (n=16, S=1)";
-  List.iter2
-    (fun dist per_dist ->
-      Output.print_subheader (Printf.sprintf "distribution: %s" (Dist.name dist));
-      let rows =
-        List.map2 (fun load cells -> Output.f2 load :: cells) loads per_dist
-      in
-      Output.print_table ~columns:("load" :: List.map name specs) ~rows)
-    dists
-    (chunks (List.length loads * List.length specs) results
-    |> List.map (chunks (List.length specs)))
+  render ~jobs "Figure 2: p99 latency vs load, idealized queueing models (n=16, S=1)"
+    (List.map
+       (fun dist ->
+         panel
+           ~title:(Printf.sprintf "distribution: %s" (Dist.name dist))
+           ("load" :: List.map name specs)
+           (List.map
+              (fun load ->
+                {
+                  label = [ Output.f2 load ];
+                  cells =
+                    List.map
+                      (fun spec ->
+                        Sweep.point
+                          ~key:(Printf.sprintf "fig2/%s/%s/%g" (Dist.name dist) (name spec) load)
+                          (fun ~seed ->
+                            let r =
+                              simulate spec ~service:dist ~load
+                                ~requests:(requests ~scale 40_000) ~seed
+                            in
+                            [ Output.f2 (Stats.Tally.p99 r.latencies) ]))
+                      specs;
+                })
+              loads))
+       dists)
 
 (* ---- Max-load-at-SLO figures (3 and 7) ---- *)
 
@@ -97,47 +128,35 @@ let slo_figure ~figkey ~jobs ~scale ~title ~service_means ~systems =
       (fun m -> Dist.bimodal1 ~mean:m);
     ]
   in
-  let points =
-    List.concat_map
-      (fun make_dist ->
-        List.concat_map
-          (fun mean ->
-            List.map
-              (fun system ->
+  render ~jobs title
+    (List.map
+       (fun make_dist ->
+         panel
+           ~title:(Printf.sprintf "distribution: %s" (Dist.name (make_dist 1.0)))
+           ("S(us)" :: List.map Run.system_name systems)
+           (List.map
+              (fun mean ->
                 let service = make_dist mean in
-                Sweep.point
-                  ~key:
-                    (Printf.sprintf "%s/%s/%g/%s" figkey (Dist.name service) mean
-                       (Run.system_name system))
-                  (fun ~seed ->
-                    let slo = 10. *. mean in
-                    let cfg =
-                      Run.config ~system ~service ~cores
-                        ~requests:(requests ~scale 25_000) ~seed ()
-                    in
-                    let load, _ = Run.max_load_at_slo cfg ~slo_p99:slo ~resolution:0.02 () in
-                    Output.pct load))
-              systems)
-          service_means)
-      makers
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header title;
-  List.iter2
-    (fun make_dist per_dist ->
-      let sample = make_dist 1.0 in
-      Output.print_subheader (Printf.sprintf "distribution: %s" (Dist.name sample));
-      let rows =
-        List.map2
-          (fun mean cells -> Printf.sprintf "%g" mean :: cells)
-          service_means per_dist
-      in
-      Output.print_table
-        ~columns:("S(us)" :: List.map Run.system_name systems)
-        ~rows)
-    makers
-    (chunks (List.length service_means * List.length systems) results
-    |> List.map (chunks (List.length systems)))
+                {
+                  label = [ Printf.sprintf "%g" mean ];
+                  cells =
+                    List.map
+                      (fun system ->
+                        Sweep.point
+                          ~key:
+                            (Printf.sprintf "%s/%s/%g/%s" figkey (Dist.name service) mean
+                               (Run.system_name system))
+                          (fun ~seed ->
+                            let load, _ =
+                              Run.max_load_at_slo
+                                (cfg ~scale ~system ~service ~seed ())
+                                ~slo_p99:(10. *. mean) ~resolution:0.02 ()
+                            in
+                            [ Output.pct load ]))
+                      systems;
+                })
+              service_means))
+       makers)
 
 let fig3 ~jobs ~scale =
   slo_figure ~figkey:"fig3" ~jobs ~scale
@@ -166,139 +185,91 @@ let fig7 ~jobs ~scale =
         Run.Ix 1;
       ]
 
-(* ---- Load-sweep figures (6, 9, 10b): shared enumerate + render ---- *)
+(* ---- Load-sweep tables: one row per (system, load) ---- *)
 
-let sweep_points ~figkey ~scale ~service ~systems ~loads ?(rpc_packets = 1) () =
+let sweep_rows ~figkey ~systems ~loads cells =
   List.concat_map
     (fun system ->
+      let name = Run.system_name system in
       List.map
         (fun load ->
-          Sweep.point
-            ~key:(Printf.sprintf "%s/%s/%g" figkey (Run.system_name system) load)
-            (fun ~seed ->
-              let cfg =
-                Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                  ~rpc_packets ~seed ()
-              in
-              (system, load, Run.run_point cfg ~load)))
+          row [ name; Output.f2 load ]
+            (Printf.sprintf "%s/%s/%g" figkey name load)
+            (cells system load))
         loads)
     systems
 
-let sweep_render ~slo all =
-  let rows =
-    List.map
-      (fun (system, load, (p : Run.point)) ->
-        [
-          Run.system_name system;
-          Output.f2 load;
-          Output.f3 p.throughput;
-          Output.f1 p.p99;
-          (if p.p99 <= slo then "meets" else "violates");
-        ])
-      all
-  in
-  Output.print_table
-    ~columns:[ "system"; "load"; "tput(MRPS)"; "p99(us)"; Printf.sprintf "SLO %.0fus" slo ]
-    ~rows
+(* Figures 6, 9 and 10b: throughput, p99 and the SLO verdict per point. *)
+let slo_panel ?title ~slo ?rpc_packets ~figkey ~scale ~service ~systems ~loads () =
+  panel ?title
+    [ "system"; "load"; "tput(MRPS)"; "p99(us)"; Printf.sprintf "SLO %.0fus" slo ]
+    (sweep_rows ~figkey ~systems ~loads (fun system load ~seed ->
+         let p = Run.run_point (cfg ?rpc_packets ~scale ~system ~service ~seed ()) ~load in
+         [ Output.f3 p.Run.throughput; Output.f1 p.Run.p99; meets ~slo p ]))
 
 let fig6 ~jobs ~scale =
   let loads = [ 0.2; 0.35; 0.5; 0.6; 0.7; 0.8; 0.85; 0.9; 0.95 ] in
   let systems =
     [ Run.Model_central_fcfs; Run.Linux_floating; Run.Ix 1; Run.Zygos; Run.Zygos_no_interrupts ]
   in
-  let groups =
-    List.concat_map
-      (fun mean ->
-        List.map
-          (fun service ->
-            let figkey = Printf.sprintf "fig6/%s/%g" (Dist.name service) mean in
-            ( Printf.sprintf "%s, S = %gus" (Dist.name service) mean,
-              10. *. mean,
-              sweep_points ~figkey ~scale ~service ~systems ~loads () ))
-          (dists_of_mean mean))
-      [ 10.; 25. ]
-  in
-  let results =
-    Sweep.run ~jobs ~seed:master_seed (List.concat_map (fun (_, _, pts) -> pts) groups)
-  in
-  Output.print_header
-    "Figure 6: p99 latency vs throughput (SLO = 10*S), three distributions x {10us, 25us}";
-  List.iter2
-    (fun (title, slo, _) group_results ->
-      Output.print_subheader title;
-      sweep_render ~slo group_results)
-    groups
-    (chunks (List.length systems * List.length loads) results)
+  render ~jobs
+    "Figure 6: p99 latency vs throughput (SLO = 10*S), three distributions x {10us, 25us}"
+    (List.concat_map
+       (fun mean ->
+         List.map
+           (fun service ->
+             slo_panel
+               ~title:(Printf.sprintf "%s, S = %gus" (Dist.name service) mean)
+               ~slo:(10. *. mean)
+               ~figkey:(Printf.sprintf "fig6/%s/%g" (Dist.name service) mean)
+               ~scale ~service ~systems ~loads ())
+           (dists_of_mean mean))
+       [ 10.; 25. ])
 
 (* ---- Figure 8 ---- *)
 
 let fig8 ~jobs ~scale =
   let service = Dist.exponential 25. in
   let loads = [ 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.77; 0.85; 0.9; 0.95 ] in
-  let points =
-    List.concat_map
-      (fun system ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "fig8/%s/%g" (Run.system_name system) load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                    ~seed ()
-                in
-                let p = Run.run_point cfg ~load in
-                let get key = Option.value ~default:0. (Run.info_value p key) in
-                let events = get "local_events" +. get "stolen_events" in
-                let ipis_per_event = if events = 0. then 0. else get "ipis_sent" /. events in
-                [
-                  Run.system_name system;
-                  Output.f2 load;
-                  Output.f3 p.Run.throughput;
-                  Output.pct (get "steal_fraction");
-                  Output.f3 ipis_per_event;
-                ]))
-          loads)
-      [ Run.Zygos; Run.Zygos_no_interrupts ]
-  in
-  let rows = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header "Figure 8: steal rate vs throughput (exponential, S = 25us)";
-  Output.print_table
-    ~columns:[ "system"; "load"; "tput(MRPS)"; "steals/event"; "IPIs/event" ]
-    ~rows
+  render ~jobs "Figure 8: steal rate vs throughput (exponential, S = 25us)"
+    [
+      panel
+        [ "system"; "load"; "tput(MRPS)"; "steals/event"; "IPIs/event" ]
+        (sweep_rows ~figkey:"fig8" ~systems:[ Run.Zygos; Run.Zygos_no_interrupts ] ~loads
+           (fun system load ~seed ->
+             let p = Run.run_point (cfg ~scale ~system ~service ~seed ()) ~load in
+             let events = info p "local_events" +. info p "stolen_events" in
+             let ipis_per_event = if events = 0. then 0. else info p "ipis_sent" /. events in
+             [
+               Output.f3 p.Run.throughput;
+               Output.pct (info p "steal_fraction");
+               Output.f3 ipis_per_event;
+             ]));
+    ]
 
 (* ---- Figure 9 ---- *)
 
 let fig9 ~jobs ~scale =
-  let kinds = [ Kvstore.Workload.Etc; Kvstore.Workload.Usr ] in
   (* For sub-2µs tasks the per-request overheads dominate: real systems
      saturate at 30–60% of the zero-overhead capacity, so the sweep
      covers the low-load range (the paper's Fig. 9 x-axis is absolute
      MRPS for the same reason). *)
   let loads = [ 0.05; 0.1; 0.15; 0.2; 0.25; 0.3; 0.35; 0.4; 0.45; 0.5; 0.55; 0.6 ] in
   let systems = [ Run.Linux_floating; Run.Ix 1; Run.Ix 64; Run.Zygos ] in
-  let groups =
-    List.map
-      (fun kind ->
-        let wl = Kvstore.Workload.create kind in
-        let service = Kvstore.Workload.service_dist wl ~samples:20_000 in
-        let figkey = Printf.sprintf "fig9/%s" (Kvstore.Workload.name kind) in
-        (kind, service, sweep_points ~figkey ~scale ~service ~systems ~loads ()))
-      kinds
-  in
-  let results =
-    Sweep.run ~jobs ~seed:master_seed (List.concat_map (fun (_, _, pts) -> pts) groups)
-  in
-  Output.print_header "Figure 9: memcached ETC and USR (SLO 500us at p99)";
-  List.iter2
-    (fun (kind, service, _) group_results ->
-      Output.print_subheader
-        (Printf.sprintf "%s: mean task %.2fus, GET fraction %.1f%%"
-           (Kvstore.Workload.name kind) (Dist.mean service)
-           (100. *. Kvstore.Workload.get_fraction kind));
-      sweep_render ~slo:500. group_results)
-    groups
-    (chunks (List.length systems * List.length loads) results)
+  render ~jobs "Figure 9: memcached ETC and USR (SLO 500us at p99)"
+    (List.map
+       (fun kind ->
+         let wl = Kvstore.Workload.create kind in
+         let service = Kvstore.Workload.service_dist wl ~samples:20_000 in
+         slo_panel
+           ~title:
+             (Printf.sprintf "%s: mean task %.2fus, GET fraction %.1f%%"
+                (Kvstore.Workload.name kind) (Dist.mean service)
+                (100. *. Kvstore.Workload.get_fraction kind))
+           ~slo:500.
+           ~figkey:(Printf.sprintf "fig9/%s" (Kvstore.Workload.name kind))
+           ~scale ~service ~systems ~loads ())
+       [ Kvstore.Workload.Etc; Kvstore.Workload.Usr ])
 
 (* ---- Silo / TPC-C (Figures 10a, 10b, Table 1) ---- *)
 
@@ -361,46 +332,44 @@ let[@zygos.allow "determinism"] run_silo ~scale =
 let silo_service_samples ~scale = (run_silo ~scale).samples
 
 let fig10a ~jobs ~scale =
-  (* One real-time measured execution, not a simulation grid: nothing to
-     parallelize, and the Unix.gettimeofday timings would not be
+  (* One real-time measured execution, not a simulation grid: the rows
+     have no sweep points, and the Unix.gettimeofday timings would not be
      deterministic anyway. *)
-  ignore (jobs : int);
-  Output.print_header "Figure 10a: CCDF of Silo/TPC-C service time (real execution)";
   let run = run_silo ~scale in
-  Output.printf
-    "measured mean on this machine: %.1fus; samples normalized to the paper's %.0fus mean\n"
-    run.raw_mean paper_silo_mean_us;
   let pct_of samples p =
     let t = Stats.Tally.create () in
     Array.iter (Stats.Tally.record t) samples;
     Stats.Tally.percentile t p
   in
-  let rows =
-    List.map
-      (fun (name, samples) ->
-        [
-          name;
-          string_of_int (Array.length samples);
-          Output.f1 (Array.fold_left ( +. ) 0. samples /. float_of_int (Array.length samples));
-          Output.f1 (pct_of samples 50.);
-          Output.f1 (pct_of samples 90.);
-          Output.f1 (pct_of samples 99.);
-          Output.f1 (pct_of samples 99.9);
-        ])
-      (("Mix", run.samples)
-      :: List.sort (fun (a, _) (b, _) -> String.compare a b) run.by_type)
-  in
-  Output.print_table
-    ~columns:[ "transaction"; "count"; "mean"; "p50"; "p90"; "p99"; "p99.9" ]
-    ~rows;
-  Output.print_subheader "Mix CCDF (service time us, P[X > x])";
-  let points = Stats.Ccdf.of_samples ~points:14 run.samples in
-  Output.print_table
-    ~columns:[ "x(us)"; "P[X>x]" ]
-    ~rows:
-      (List.map
-         (fun { Stats.Ccdf.value; prob } -> [ Output.f1 value; Printf.sprintf "%.4f" prob ])
-         points)
+  render ~jobs "Figure 10a: CCDF of Silo/TPC-C service time (real execution)"
+    [
+      panel
+        ~note:
+          (Printf.sprintf
+             "measured mean on this machine: %.1fus; samples normalized to the paper's %.0fus \
+              mean"
+             run.raw_mean paper_silo_mean_us)
+        [ "transaction"; "count"; "mean"; "p50"; "p90"; "p99"; "p99.9" ]
+        (List.map
+           (fun (name, samples) ->
+             text
+               [
+                 name;
+                 string_of_int (Array.length samples);
+                 Output.f1
+                   (Array.fold_left ( +. ) 0. samples /. float_of_int (Array.length samples));
+                 Output.f1 (pct_of samples 50.);
+                 Output.f1 (pct_of samples 90.);
+                 Output.f1 (pct_of samples 99.);
+                 Output.f1 (pct_of samples 99.9);
+               ])
+           (("Mix", run.samples)
+           :: List.sort (fun (a, _) (b, _) -> String.compare a b) run.by_type));
+      panel ~title:"Mix CCDF (service time us, P[X > x])" [ "x(us)"; "P[X>x]" ]
+        (List.map
+           (fun { Stats.Ccdf.value; prob } -> text [ Output.f1 value; Printf.sprintf "%.4f" prob ])
+           (Stats.Ccdf.of_samples ~points:14 run.samples));
+    ]
 
 let silo_systems = [ Run.Linux_floating; Run.Ix 1; Run.Zygos ]
 
@@ -411,16 +380,14 @@ let silo_slo = 1000.
 let silo_rpc_packets = 3
 
 let fig10b ~jobs ~scale =
-  let service = Dist.empirical (silo_service_samples ~scale) in
-  let loads = [ 0.2; 0.35; 0.5; 0.6; 0.7; 0.8; 0.85; 0.9; 0.95 ] in
-  let points =
-    sweep_points ~figkey:"fig10b" ~scale ~service ~systems:silo_systems ~loads
-      ~rpc_packets:silo_rpc_packets ()
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header
-    "Figure 10b: Silo/TPC-C p99 end-to-end latency vs throughput (SLO 1000us)";
-  sweep_render ~slo:silo_slo results
+  render ~jobs "Figure 10b: Silo/TPC-C p99 end-to-end latency vs throughput (SLO 1000us)"
+    [
+      slo_panel ~slo:silo_slo ~rpc_packets:silo_rpc_packets ~figkey:"fig10b" ~scale
+        ~service:(Dist.empirical (silo_service_samples ~scale))
+        ~systems:silo_systems
+        ~loads:[ 0.2; 0.35; 0.5; 0.6; 0.7; 0.8; 0.85; 0.9; 0.95 ]
+        ();
+    ]
 
 let table1 ~jobs ~scale =
   let service = Dist.empirical (silo_service_samples ~scale) in
@@ -440,10 +407,7 @@ let table1 ~jobs ~scale =
         Sweep.point
           ~key:(Printf.sprintf "table1/%s" (Run.system_name system))
           (fun ~seed ->
-            let cfg =
-              Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                ~rpc_packets:silo_rpc_packets ~seed ()
-            in
+            let cfg = cfg ~rpc_packets:silo_rpc_packets ~scale ~system ~service ~seed () in
             let max_load, point = Run.max_load_at_slo cfg ~slo_p99:silo_slo ~resolution:0.02 () in
             let tail_at frac =
               let p = Run.run_point cfg ~load:(max_load *. frac) in
@@ -455,44 +419,39 @@ let table1 ~jobs ~scale =
             (point.Run.throughput, tails, point5.Run.throughput)))
       silo_systems
   in
+  (* The speedup column divides by another row's throughput, so the rows
+     are rendered from the joined results rather than by their own points. *)
   let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header
-    "Table 1: Silo/TPC-C max load @ 1000us SLO and tails at 50/75/90% of max";
-  let linux_tput =
-    match results with (tput, _, _) :: _ -> tput | [] -> assert false
-  in
-  let rows =
-    List.map2
-      (fun system (tput, (t50, t75, t90), _) ->
-        [
-          Run.system_name system;
-          Printf.sprintf "%.0f KTPS" (1000. *. tput);
-          Printf.sprintf "%.2fx" (tput /. linux_tput);
-          t50;
-          t75;
-          t90;
-        ])
-      silo_systems results
-  in
-  Output.printf "zero-overhead capacity: %.0f KTPS; service p99 = %.0fus\n"
-    (1000. *. capacity) service_p99;
-  Output.print_table
-    ~columns:[ "system"; "max load@SLO"; "speedup"; "tail@50%"; "tail@75%"; "tail@90%" ]
-    ~rows;
-  (* Our measured TPC-C service tail is heavier than the paper's (p99 here
-     vs 203µs there), so the fixed 1000µs SLO is a much tighter multiple of
-     p99 (2.7x vs the paper's ~5x) — which is the §7 tradeoff. Also report
-     max load at the paper's SLO-to-tail ratio. *)
-  Output.print_subheader
-    (Printf.sprintf "same experiment at the paper's SLO-to-tail ratio (SLO = 5 x p99 = %.0fus)"
-       slo5);
-  let rows5 =
-    List.map2
-      (fun system (_, _, tput5) ->
-        [ Run.system_name system; Printf.sprintf "%.0f KTPS" (1000. *. tput5) ])
-      silo_systems results
-  in
-  Output.print_table ~columns:[ "system"; "max load@5xp99" ] ~rows:rows5
+  let linux_tput = match results with (tput, _, _) :: _ -> tput | [] -> assert false in
+  let ktps tput = Printf.sprintf "%.0f KTPS" (1000. *. tput) in
+  render ~jobs "Table 1: Silo/TPC-C max load @ 1000us SLO and tails at 50/75/90% of max"
+    [
+      panel
+        ~note:
+          (Printf.sprintf "zero-overhead capacity: %.0f KTPS; service p99 = %.0fus"
+             (1000. *. capacity) service_p99)
+        [ "system"; "max load@SLO"; "speedup"; "tail@50%"; "tail@75%"; "tail@90%" ]
+        (List.map2
+           (fun system (tput, (t50, t75, t90), _) ->
+             text
+               [
+                 Run.system_name system; ktps tput; Printf.sprintf "%.2fx" (tput /. linux_tput);
+                 t50; t75; t90;
+               ])
+           silo_systems results);
+      (* Our measured TPC-C service tail is heavier than the paper's (p99
+         here vs 203µs there), so the fixed 1000µs SLO is a much tighter
+         multiple of p99 (2.7x vs the paper's ~5x) — which is the §7
+         tradeoff. Also report max load at the paper's SLO-to-tail ratio. *)
+      panel
+        ~title:
+          (Printf.sprintf
+             "same experiment at the paper's SLO-to-tail ratio (SLO = 5 x p99 = %.0fus)" slo5)
+        [ "system"; "max load@5xp99" ]
+        (List.map2
+           (fun system (_, _, tput5) -> text [ Run.system_name system; ktps tput5 ])
+           silo_systems results);
+    ]
 
 (* ---- Figure 11 ---- *)
 
@@ -500,143 +459,84 @@ let fig11 ~jobs ~scale =
   let service = Dist.deterministic 10. in
   let loads = [ 0.3; 0.5; 0.65; 0.8; 0.85; 0.9; 0.93; 0.95; 0.97 ] in
   let systems = [ Run.Ix 64; Run.Ix 1; Run.Zygos ] in
-  let sweep_pts =
-    List.concat_map
-      (fun system ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "fig11/%s/%g" (Run.system_name system) load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                    ~seed ()
-                in
-                (system, Run.run_point cfg ~load)))
-          loads)
-      systems
-  in
-  let best_pts =
-    List.map
-      (fun system ->
-        Sweep.point
-          ~key:(Printf.sprintf "fig11/best/%s" (Run.system_name system))
-          (fun ~seed ->
-            let cfg =
-              Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000) ~seed ()
-            in
-            let best slo =
-              let _, p = Run.max_load_at_slo cfg ~slo_p99:slo ~resolution:0.02 () in
-              Output.f3 p.Run.throughput
-            in
-            [ Run.system_name system; best 100.; best 1000. ]))
-      systems
-  in
-  let n_sweep = List.length sweep_pts in
-  let all =
-    Sweep.run ~jobs ~seed:master_seed
-      (List.map (fun p -> Sweep.point ~key:p.Sweep.key (fun ~seed -> `Point (p.Sweep.run ~seed))) sweep_pts
-      @ List.map (fun p -> Sweep.point ~key:p.Sweep.key (fun ~seed -> `Row (p.Sweep.run ~seed))) best_pts)
-  in
-  let sweep_results =
-    List.filteri (fun i _ -> i < n_sweep) all
-    |> List.map (function `Point x -> x | `Row _ -> assert false)
-  in
-  let best_rows =
-    List.filteri (fun i _ -> i >= n_sweep) all
-    |> List.map (function `Row x -> x | `Point _ -> assert false)
-  in
-  Output.print_header
-    "Figure 11: SLO choice (100us vs 1000us), fixed 10us tasks -- IX B=1, IX B=64, ZygOS";
-  Output.print_table
-    ~columns:[ "system"; "load"; "tput(MRPS)"; "p99(us)"; "SLO 100us"; "SLO 1000us" ]
-    ~rows:
-      (List.map
-         (fun (system, (p : Run.point)) ->
-           [
-             Run.system_name system;
-             Output.f2 p.Run.load;
-             Output.f3 p.Run.throughput;
-             Output.f1 p.Run.p99;
-             (if p.Run.p99 <= 100. then "meets" else "violates");
-             (if p.Run.p99 <= 1000. then "meets" else "violates");
-           ])
-         sweep_results);
-  Output.print_subheader "max throughput under each SLO";
-  Output.print_table ~columns:[ "system"; "MRPS @100us"; "MRPS @1000us" ] ~rows:best_rows
+  render ~jobs
+    "Figure 11: SLO choice (100us vs 1000us), fixed 10us tasks -- IX B=1, IX B=64, ZygOS"
+    [
+      panel
+        [ "system"; "load"; "tput(MRPS)"; "p99(us)"; "SLO 100us"; "SLO 1000us" ]
+        (sweep_rows ~figkey:"fig11" ~systems ~loads (fun system load ~seed ->
+             let p = Run.run_point (cfg ~scale ~system ~service ~seed ()) ~load in
+             [
+               Output.f3 p.Run.throughput;
+               Output.f1 p.Run.p99;
+               meets ~slo:100. p;
+               meets ~slo:1000. p;
+             ]));
+      panel ~title:"max throughput under each SLO"
+        [ "system"; "MRPS @100us"; "MRPS @1000us" ]
+        (List.map
+           (fun system ->
+             let name = Run.system_name system in
+             row [ name ] ("fig11/best/" ^ name) (fun ~seed ->
+                 let best slo =
+                   let _, p =
+                     Run.max_load_at_slo
+                       (cfg ~scale ~system ~service ~seed ())
+                       ~slo_p99:slo ~resolution:0.02 ()
+                   in
+                   Output.f3 p.Run.throughput
+                 in
+                 [ best 100.; best 1000. ]))
+           systems);
+    ]
 
 (* ---- Ablations (DESIGN.md §5) ---- *)
 
 let ablate_poll ~jobs ~scale =
   let service = Dist.exponential 10. in
-  let loads = [ 0.5; 0.7; 0.8; 0.85; 0.9 ] in
-  let point_for ~random load =
+  let p99 ~order system load =
     Sweep.point
-      ~key:
-        (Printf.sprintf "ablate-poll/%s/%g" (if random then "random" else "rr") load)
+      ~key:(Printf.sprintf "ablate-poll/%s/%g" order load)
       (fun ~seed ->
-        let sim = Engine.Sim.create () in
-        let rng = Engine.Rng.create ~seed in
-        let loadgen_rng = Engine.Rng.split rng in
-        let system_rng = Engine.Rng.split rng in
-        let rate = load *. float_of_int cores /. Dist.mean service in
-        let pool = Net.Request.create_pool ~recycle:true () in
-        let gen =
-          Net.Loadgen.create sim ~rng:loadgen_rng ~pool ~conns:2752 ~rate ~service ()
-        in
-        let params = { (Systems.Params.default ~cores ()) with zy_poll_random = random } in
-        let system =
-          Systems.Zygos.create sim params ~rng:system_rng ~pool ~conns:2752
-            ~respond:(fun req -> Net.Loadgen.complete gen req)
-            ()
-        in
-        Net.Loadgen.set_target gen system.Systems.Iface.submit;
-        let measure = float_of_int (requests ~scale 25_000) /. rate in
-        Net.Loadgen.start gen ~warmup:(0.2 *. measure) ~measure;
-        Engine.Sim.run sim;
-        Stats.Tally.p99 (Net.Loadgen.tally gen))
+        [ Output.f1 (Run.run_point (cfg ~scale ~system ~service ~seed ()) ~load).Run.p99 ])
   in
-  let points =
-    List.map (point_for ~random:true) loads @ List.map (point_for ~random:false) loads
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  let random, rr = chunks (List.length loads) results |> function
-    | [ a; b ] -> (a, b)
-    | _ -> assert false
-  in
-  Output.print_header "Ablation: randomized vs round-robin steal-victim order (exp, 10us)";
-  Output.print_table
-    ~columns:[ "load"; "p99 randomized"; "p99 round-robin" ]
-    ~rows:
-      (List.map2
-         (fun load (a, b) -> [ Output.f2 load; Output.f1 a; Output.f1 b ])
-         loads
-         (List.combine random rr))
+  render ~jobs "Ablation: randomized vs round-robin steal-victim order (exp, 10us)"
+    [
+      panel
+        [ "load"; "p99 randomized"; "p99 round-robin" ]
+        (List.map
+           (fun load ->
+             {
+               label = [ Output.f2 load ];
+               cells =
+                 [ p99 ~order:"random" Run.Zygos load; p99 ~order:"rr" Run.Zygos_round_robin load ];
+             })
+           [ 0.5; 0.7; 0.8; 0.85; 0.9 ]);
+    ]
 
 let ablate_batch ~jobs ~scale =
   let service = Dist.deterministic 10. in
-  let loads = [ 0.5; 0.7; 0.85; 0.93 ] in
-  let points =
-    List.concat_map
-      (fun b ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "ablate-batch/b%d/%g" b load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system:(Run.Ix b) ~service ~cores
-                    ~requests:(requests ~scale 20_000) ~seed ()
-                in
-                let p = Run.run_point cfg ~load in
-                [ Printf.sprintf "B=%d" b; Output.f2 load; Output.f3 p.Run.throughput;
-                  Output.f1 p.Run.p99 ]))
-          loads)
-      [ 1; 2; 8; 64 ]
-  in
-  let rows = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header "Ablation: IX bounded-batching B sweep (fixed 10us tasks)";
-  Output.print_table ~columns:[ "batch"; "load"; "tput(MRPS)"; "p99(us)" ] ~rows
+  render ~jobs "Ablation: IX bounded-batching B sweep (fixed 10us tasks)"
+    [
+      panel
+        [ "batch"; "load"; "tput(MRPS)"; "p99(us)" ]
+        (List.concat_map
+           (fun b ->
+             List.map
+               (fun load ->
+                 row
+                   [ Printf.sprintf "B=%d" b; Output.f2 load ]
+                   (Printf.sprintf "ablate-batch/b%d/%g" b load)
+                   (fun ~seed ->
+                     let p =
+                       Run.run_point
+                         (cfg ~base:20_000 ~scale ~system:(Run.Ix b) ~service ~seed ())
+                         ~load
+                     in
+                     [ Output.f3 p.Run.throughput; Output.f1 p.Run.p99 ]))
+               [ 0.5; 0.7; 0.85; 0.93 ])
+           [ 1; 2; 8; 64 ]);
+    ]
 
 (* Extension (paper §2.3 Observation 2 / §7): FCFS is tail-optimal only
    for low dispersion. A preemptive centralized scheduler — the design
@@ -645,55 +545,25 @@ let ablate_batch ~jobs ~scale =
    workloads. *)
 let ext_preempt ~jobs ~scale =
   let systems = [ Run.Ix 1; Run.Zygos; Run.Preemptive 5.; Run.Preemptive 1. ] in
-  let cases =
-    [
-      ("bimodal-2 (0.1% of requests are 500x the mean)", Dist.bimodal2 ~mean:10.);
-      ("deterministic (preemption cannot help, only cost)", Dist.deterministic 10.);
-    ]
-  in
-  let loads = [ 0.3; 0.5; 0.7 ] in
-  let points =
-    List.concat_map
-      (fun (_, service) ->
-        List.concat_map
-          (fun system ->
-            List.map
-              (fun load ->
-                Sweep.point
-                  ~key:
-                    (Printf.sprintf "ext-preempt/%s/%s/%g" (Dist.name service)
-                       (Run.system_name system) load)
-                  (fun ~seed ->
-                    let cfg =
-                      Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                        ~seed ()
-                    in
-                    let p = Run.run_point cfg ~load in
-                    let preemptions =
-                      Option.value ~default:0. (Run.info_value p "preemptions_per_request")
-                    in
-                    [
-                      Run.system_name system;
-                      Output.f2 load;
-                      Output.f1 p.Run.p99;
-                      Output.f1 p.Run.p50;
-                      Output.f2 preemptions;
-                    ]))
-              loads)
-          systems)
-      cases
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header
-    "Extension: preemptive scheduling vs FCFS under extreme dispersion (S = 10us)";
-  List.iter2
-    (fun (label, _) rows ->
-      Output.print_subheader label;
-      Output.print_table
-        ~columns:[ "system"; "load"; "p99(us)"; "p50(us)"; "preempts/req" ]
-        ~rows)
-    cases
-    (chunks (List.length systems * List.length loads) results)
+  render ~jobs "Extension: preemptive scheduling vs FCFS under extreme dispersion (S = 10us)"
+    (List.map
+       (fun (title, service) ->
+         panel ~title
+           [ "system"; "load"; "p99(us)"; "p50(us)"; "preempts/req" ]
+           (sweep_rows
+              ~figkey:("ext-preempt/" ^ Dist.name service)
+              ~systems ~loads:[ 0.3; 0.5; 0.7 ]
+              (fun system load ~seed ->
+                let p = Run.run_point (cfg ~scale ~system ~service ~seed ()) ~load in
+                [
+                  Output.f1 p.Run.p99;
+                  Output.f1 p.Run.p50;
+                  Output.f2 (info p "preemptions_per_request");
+                ])))
+       [
+         ("bimodal-2 (0.1% of requests are 500x the mean)", Dist.bimodal2 ~mean:10.);
+         ("deterministic (preemption cannot help, only cost)", Dist.deterministic 10.);
+       ])
 
 (* Extension (§5): RSS-reprogramming control plane against persistent
    connection skew, vs static IX (suffers) and ZygOS (stealing absorbs
@@ -701,107 +571,56 @@ let ext_preempt ~jobs ~scale =
 let ext_rebalance ~jobs ~scale =
   let service = Dist.exponential 10. in
   let selection = Net.Loadgen.Hot_cold { hot_fraction = 0.05; hot_load = 0.5 } in
-  let systems = [ Run.Ix 1; Run.Ix_rebalanced 200.; Run.Zygos ] in
-  let points =
-    List.concat_map
-      (fun system ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "ext-rebalance/%s/%g" (Run.system_name system) load)
-              (fun ~seed ->
-                let cfg =
-                  Run.config ~system ~service ~cores ~requests:(requests ~scale 25_000)
-                    ~selection ~seed ()
-                in
-                let p = Run.run_point cfg ~load in
-                let moves =
-                  Option.value ~default:0. (Run.info_value p "rebalance_moves")
-                in
-                [
-                  Run.system_name system;
-                  Output.f2 load;
-                  Output.f1 p.Run.p99;
-                  Output.f3 p.Run.throughput;
-                  string_of_int (int_of_float moves);
-                  string_of_int p.Run.order_violations;
-                ]))
-          [ 0.3; 0.5; 0.65; 0.8 ])
-      systems
-  in
-  let rows = Sweep.run ~jobs ~seed:master_seed points in
-  Output.print_header
-    "Extension: RSS control plane under persistent connection skew (exp, S = 10us)";
-  Output.printf
-    "skew: 5%% of connections carry 50%% of the load; rebalance window 200us\n";
-  Output.print_table
-    ~columns:[ "system"; "load"; "p99(us)"; "tput(MRPS)"; "slot moves"; "order violations" ]
-    ~rows
+  render ~jobs "Extension: RSS control plane under persistent connection skew (exp, S = 10us)"
+    [
+      panel ~note:"skew: 5% of connections carry 50% of the load; rebalance window 200us"
+        [ "system"; "load"; "p99(us)"; "tput(MRPS)"; "slot moves"; "order violations" ]
+        (sweep_rows ~figkey:"ext-rebalance"
+           ~systems:[ Run.Ix 1; Run.Ix_rebalanced 200.; Run.Zygos ]
+           ~loads:[ 0.3; 0.5; 0.65; 0.8 ]
+           (fun system load ~seed ->
+             let p = Run.run_point (cfg ~selection ~scale ~system ~service ~seed ()) ~load in
+             [
+               Output.f1 p.Run.p99;
+               Output.f3 p.Run.throughput;
+               count p "rebalance_moves";
+               string_of_int p.Run.order_violations;
+             ]));
+    ]
 
 (* Extension (§5): workload consolidation — the IX control plane's energy
    proportionality function, on the centralized preemptive system where
    core parking is safe. *)
 let ext_consolidate ~jobs ~scale =
   let service = Dist.exponential 10. in
-  let loads = [ 0.1; 0.2; 0.35; 0.5; 0.7; 0.85 ] in
-  let run_one ~seed ~consolidate ~load =
-    let sim = Engine.Sim.create () in
-    let rng = Engine.Rng.create ~seed in
-    let loadgen_rng = Engine.Rng.split rng in
-    let rate = load *. float_of_int cores /. Dist.mean service in
-    let pool = Net.Request.create_pool ~recycle:true () in
-    let gen =
-      Net.Loadgen.create sim ~rng:loadgen_rng ~pool ~conns:2752 ~rate ~service ()
-    in
-    let params = Systems.Params.default ~cores () in
-    let consolidate =
-      if consolidate then Some Systems.Preemptive.default_consolidation else None
-    in
-    let system =
-      Systems.Preemptive.create sim params ~quantum:10. ~switch_cost:0.3 ~pool ~conns:2752
-        ~respond:(fun req -> Net.Loadgen.complete gen req)
-        ?consolidate ()
-    in
-    Net.Loadgen.set_target gen system.Systems.Iface.submit;
-    let measure = float_of_int (requests ~scale 25_000) /. rate in
-    Net.Loadgen.start gen ~warmup:(0.2 *. measure) ~measure;
-    Engine.Sim.run sim;
-    let p99 = Stats.Tally.p99 (Net.Loadgen.tally gen) in
-    let avg_cores =
-      Option.value ~default:(float_of_int cores)
-        (Systems.Iface.info_value system "avg_active_cores")
-    in
-    (p99, avg_cores)
+  let run ~mode system load cells =
+    Sweep.point
+      ~key:(Printf.sprintf "ext-consolidate/%s/%g" mode load)
+      (fun ~seed -> cells (Run.run_point (cfg ~scale ~system ~service ~seed ()) ~load))
   in
-  let points =
-    List.concat_map
-      (fun consolidate ->
-        List.map
-          (fun load ->
-            Sweep.point
-              ~key:
-                (Printf.sprintf "ext-consolidate/%s/%g"
-                   (if consolidate then "on" else "off")
-                   load)
-              (fun ~seed -> run_one ~seed ~consolidate ~load))
-          loads)
-      [ false; true ]
-  in
-  let results = Sweep.run ~jobs ~seed:master_seed points in
-  let statics, conss =
-    chunks (List.length loads) results |> function [ a; b ] -> (a, b) | _ -> assert false
-  in
-  Output.print_header
-    "Extension: workload consolidation (core parking) vs static 16 cores (exp, S = 10us)";
-  let rows =
-    List.map2
-      (fun load ((static_p99, _), (cons_p99, avg)) ->
-        [ Output.f2 load; Output.f1 static_p99; Output.f1 cons_p99; Output.f1 avg ])
-      loads (List.combine statics conss)
-  in
-  Output.print_table
-    ~columns:[ "load"; "p99 static(us)"; "p99 consolidated(us)"; "avg active cores" ]
-    ~rows
+  render ~jobs
+    "Extension: workload consolidation (core parking) vs static 16 cores (exp, S = 10us)"
+    [
+      panel
+        [ "load"; "p99 static(us)"; "p99 consolidated(us)"; "avg active cores" ]
+        (List.map
+           (fun load ->
+             {
+               label = [ Output.f2 load ];
+               cells =
+                 [
+                   run ~mode:"off" (Run.Preemptive 10.) load (fun p -> [ Output.f1 p.Run.p99 ]);
+                   run ~mode:"on" (Run.Preemptive_consolidated 10.) load (fun p ->
+                       [
+                         Output.f1 p.Run.p99;
+                         Output.f1
+                           (Option.value ~default:(float_of_int cores)
+                              (Run.info_value p "avg_active_cores"));
+                       ]);
+                 ];
+             })
+           [ 0.1; 0.2; 0.35; 0.5; 0.7; 0.85 ]);
+    ]
 
 (* Chaos: the robustness experiment — degradation curves under injected
    network faults, a straggler core, and retry storms past saturation,
@@ -812,20 +631,18 @@ let chaos ~jobs ~scale =
   let slo = 100. in
   let systems = [ Run.Linux_floating; Run.Ix 1; Run.Zygos ] in
   let req = requests ~scale 20_000 in
-  Output.print_header
-    "Chaos: degradation under faults & overload (exp, S = 10us, SLO = 100us)";
   (* (a) lossy network x offered load, client retries recovering losses *)
-  let retry = Net.Loadgen.retry ~timeout:300. () in
-  let points_a =
+  let lossy =
+    let retry = Net.Loadgen.retry ~timeout:300. () in
     List.concat_map
       (fun system ->
+        let name = Run.system_name system in
         List.concat_map
           (fun fr ->
             List.map
               (fun load ->
-                Sweep.point
-                  ~key:
-                    (Printf.sprintf "chaos/lossy/%s/%g/%g" (Run.system_name system) fr load)
+                row [ name; Output.f3 fr; Output.f2 load ]
+                  (Printf.sprintf "chaos/lossy/%s/%g/%g" name fr load)
                   (fun ~seed ->
                     let faults =
                       if fr = 0. then None
@@ -836,33 +653,22 @@ let chaos ~jobs ~scale =
                         ?faults ()
                     in
                     let p = Run.run_point cfg ~load in
-                    let get key = Option.value ~default:0. (Run.info_value p key) in
                     [
-                      Run.system_name system;
-                      Output.f3 fr;
-                      Output.f2 load;
                       Output.f3 p.Run.goodput;
                       Output.f1 p.Run.p99;
-                      string_of_int (int_of_float (get "fault_drops"));
-                      string_of_int (int_of_float (get "client_retries"));
+                      count p "fault_drops";
+                      count p "client_retries";
                     ]))
               [ 0.3; 0.6; 0.8 ])
           [ 0.; 0.01; 0.05 ])
       systems
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_a in
-  Output.print_subheader "lossy network x offered load (client retries on)";
-  Output.print_table
-    ~columns:
-      [ "system"; "fault rate"; "load"; "goodput(MRPS)"; "p99(us)"; "drops"; "retries" ]
-    ~rows;
   (* (b) straggler core: ZygOS steals around it, IX cannot *)
-  let points_b =
+  let straggler =
     List.map
       (fun system ->
-        Sweep.point
-          ~key:(Printf.sprintf "chaos/straggler/%s" (Run.system_name system))
-          (fun ~seed ->
+        let name = Run.system_name system in
+        row [ name ] ("chaos/straggler/" ^ name) (fun ~seed ->
             let base_cfg = Run.config ~system ~service ~cores ~requests:req ~seed () in
             let base = Run.run_point base_cfg ~load:0.7 in
             let rate = 0.7 *. float_of_int cores /. Dist.mean service in
@@ -876,41 +682,32 @@ let chaos ~jobs ~scale =
             let cfg = Run.config ~system ~service ~cores ~requests:req ~stragglers ~seed () in
             let p = Run.run_point cfg ~load:0.7 in
             [
-              Run.system_name system;
               Output.f1 base.Run.p99;
               Output.f1 p.Run.p99;
               Output.f2 (p.Run.p99 /. Float.max 1e-9 base.Run.p99);
             ]))
       systems
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_b in
-  Output.print_subheader "straggler core (core 0 at 10x for 25% of the run, load 0.7)";
-  Output.print_table
-    ~columns:[ "system"; "p99 clean(us)"; "p99 straggler(us)"; "degradation" ]
-    ~rows;
   (* (c) retry storm past saturation: load shedding keeps goodput alive *)
-  let retry = Net.Loadgen.retry ~timeout:200. ~max_retries:4 () in
-  let points_c =
+  let storm =
+    let retry = Net.Loadgen.retry ~timeout:200. ~max_retries:4 () in
     List.concat_map
       (fun (label, shed) ->
         List.map
           (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "chaos/storm/%s/%g" label load)
+            row [ label; Output.f2 load ]
+              (Printf.sprintf "chaos/storm/%s/%g" label load)
               (fun ~seed ->
                 let cfg =
                   Run.config ~system:(Run.Ix 1) ~service ~cores ~requests:req ~retry ~slo
                     ~shed ~seed ()
                 in
                 let p = Run.run_point cfg ~load in
-                let get key = Option.value ~default:0. (Run.info_value p key) in
                 [
-                  label;
-                  Output.f2 load;
                   Output.f3 p.Run.goodput;
                   Output.f3 p.Run.throughput;
                   Output.f1 p.Run.p99;
-                  string_of_int (int_of_float (get "shed"));
+                  count p "shed";
                 ]))
           [ 0.8; 0.95; 1.1; 1.3 ])
       [
@@ -918,12 +715,18 @@ let chaos ~jobs ~scale =
         ("queue-len", Systems.Overload.Queue_length (8 * cores));
       ]
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_c in
-  Output.print_subheader
-    "overload + retries: shedding (queue bound 8/core) vs none, ix";
-  Output.print_table
-    ~columns:[ "policy"; "load"; "goodput(MRPS)"; "tput(MRPS)"; "p99(us)"; "shed" ]
-    ~rows
+  render ~jobs "Chaos: degradation under faults & overload (exp, S = 10us, SLO = 100us)"
+    [
+      panel ~title:"lossy network x offered load (client retries on)"
+        [ "system"; "fault rate"; "load"; "goodput(MRPS)"; "p99(us)"; "drops"; "retries" ]
+        lossy;
+      panel ~title:"straggler core (core 0 at 10x for 25% of the run, load 0.7)"
+        [ "system"; "p99 clean(us)"; "p99 straggler(us)"; "degradation" ]
+        straggler;
+      panel ~title:"overload + retries: shedding (queue bound 8/core) vs none, ix"
+        [ "policy"; "load"; "goodput(MRPS)"; "tput(MRPS)"; "p99(us)"; "shed" ]
+        storm;
+    ]
 
 (* Rack-scale two-level scheduling (RackSched over our single-server
    models): N servers behind a ToR dispatcher, compared against the
@@ -933,88 +736,57 @@ let rack ~jobs ~scale =
   let servers = 4 in
   let service = Dist.exponential 10. in
   let req = requests ~scale 20_000 in
-  let policies =
-    Cluster.Policy.[ Static_hash; Random; Po2; Jsq; Jbsq 32 ]
-  in
+  let policies = Cluster.Policy.[ Static_hash; Random; Po2; Jsq; Jbsq 32 ] in
   let pname = Cluster.Policy.name in
   let rcfg ?(policy = Cluster.Policy.Jsq) ?feedback_delay ?detect ?hedge ?failplan ?slo
       ~seed () =
     Rackrun.config ~servers ~system:Run.Zygos ~cores ~requests:req ~seed ?feedback_delay
       ?detect ?hedge ?failplan ?slo ~policy ~service ()
   in
-  Output.print_header
-    (Printf.sprintf
-       "Rack: %d x zygos-16 behind a ToR dispatcher (exp, S = 10us) vs M/G/%d bound"
-       servers (servers * cores));
+  (* The measurement window of a rack point at [load]. *)
+  let measure load = float_of_int req /. (load *. float_of_int (servers * cores) /. Dist.mean service) in
+  let tail (p : Run.point) = [ Output.f3 p.throughput; Output.f1 p.p99; Output.f1 p.p999 ] in
   (* (a) inter-server policy x load, 5us-stale estimates *)
   let loads_a = [ 0.3; 0.5; 0.7; 0.85; 0.95 ] in
-  let points_a =
+  let policy_rows =
     List.concat_map
       (fun policy ->
         List.map
           (fun load ->
-            Sweep.point
-              ~key:(Printf.sprintf "rack/policy/%s/%g" (pname policy) load)
-              (fun ~seed ->
-                let p = Rackrun.run (rcfg ~policy ~feedback_delay:5. ~seed ()) ~load in
-                [
-                  pname policy;
-                  Output.f2 load;
-                  Output.f3 p.Run.throughput;
-                  Output.f1 p.Run.p99;
-                  Output.f1 p.Run.p999;
-                ]))
+            row [ pname policy; Output.f2 load ]
+              (Printf.sprintf "rack/policy/%s/%g" (pname policy) load)
+              (fun ~seed -> tail (Rackrun.run (rcfg ~policy ~feedback_delay:5. ~seed ()) ~load)))
           loads_a)
       policies
     @ List.map
         (fun load ->
-          Sweep.point
-            ~key:(Printf.sprintf "rack/bound/%g" load)
-            (fun ~seed ->
-              let p = Rackrun.central_bound (rcfg ~seed ()) ~load in
-              [
-                "central-bound";
-                Output.f2 load;
-                Output.f3 p.Run.throughput;
-                Output.f1 p.Run.p99;
-                Output.f1 p.Run.p999;
-              ]))
+          row [ "central-bound"; Output.f2 load ]
+            (Printf.sprintf "rack/bound/%g" load)
+            (fun ~seed -> tail (Rackrun.central_bound (rcfg ~seed ()) ~load)))
         loads_a
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_a in
-  Output.print_subheader "policy x load (5us feedback delay)";
-  Output.print_table
-    ~columns:[ "policy"; "load"; "tput(MRPS)"; "p99(us)"; "p999(us)" ]
-    ~rows;
   (* (b) estimate staleness at fixed load: queue-aware policies degrade
      as feedback lags; jbsq's credit gate keeps the bound exact *)
-  let points_b =
+  let stale_rows =
     List.concat_map
       (fun policy ->
         List.map
           (fun delay ->
-            Sweep.point
-              ~key:(Printf.sprintf "rack/stale/%s/%g" (pname policy) delay)
+            row [ pname policy; Output.f1 delay ]
+              (Printf.sprintf "rack/stale/%s/%g" (pname policy) delay)
               (fun ~seed ->
                 let p = Rackrun.run (rcfg ~policy ~feedback_delay:delay ~seed ()) ~load:0.85 in
-                [ pname policy; Output.f1 delay; Output.f1 p.Run.p99; Output.f1 p.Run.p999 ]))
+                [ Output.f1 p.Run.p99; Output.f1 p.Run.p999 ]))
           [ 0.; 5.; 25.; 100. ])
       Cluster.Policy.[ Po2; Jsq; Jbsq 32 ]
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_b in
-  Output.print_subheader "estimate staleness x policy (load 0.85)";
-  Output.print_table ~columns:[ "policy"; "delay(us)"; "p99(us)"; "p999(us)" ] ~rows;
   (* (c) one degraded server: queue-aware policies route around the
      rack-scale straggler that static hashing keeps feeding *)
-  let points_c =
+  let degraded_rows =
     List.map
       (fun policy ->
-        Sweep.point
-          ~key:(Printf.sprintf "rack/degraded/%s" (pname policy))
-          (fun ~seed ->
+        row [ pname policy ] ("rack/degraded/" ^ pname policy) (fun ~seed ->
             let load = 0.6 in
-            let rate = load *. float_of_int (servers * cores) /. Dist.mean service in
-            let measure = float_of_int req /. rate in
             let clean = Rackrun.run (rcfg ~policy ~feedback_delay:5. ~seed ()) ~load in
             let failplan =
               [
@@ -1022,26 +794,19 @@ let rack ~jobs ~scale =
                   {
                     server = 0;
                     slowdown = 10.;
-                    start = 0.2 *. measure;
-                    duration = 0.25 *. measure;
+                    start = 0.2 *. measure load;
+                    duration = 0.25 *. measure load;
                   };
               ]
             in
             let p = Rackrun.run (rcfg ~policy ~feedback_delay:5. ~failplan ~seed ()) ~load in
             [
-              pname policy;
               Output.f1 clean.Run.p99;
               Output.f1 p.Run.p99;
               Output.f2 (p.Run.p99 /. Float.max 1e-9 clean.Run.p99);
             ]))
       policies
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_c in
-  Output.print_subheader
-    "one degraded server (server 0 at 10x for 25% of the run, load 0.6)";
-  Output.print_table
-    ~columns:[ "policy"; "p99 clean(us)"; "p99 degraded(us)"; "degradation" ]
-    ~rows;
   (* (d) server crash: timeout detection + failover re-dispatch recover
      the goodput a crash window would otherwise swallow *)
   let detect =
@@ -1051,33 +816,26 @@ let rack ~jobs ~scale =
         health = Cluster.Health.config ();
       }
   in
-  let points_d =
+  let crash_rows =
     List.map
       (fun (label, policy, detect, hedge) ->
-        Sweep.point
-          ~key:(Printf.sprintf "rack/crash/%s" label)
-          (fun ~seed ->
+        row [ label ] ("rack/crash/" ^ label) (fun ~seed ->
             let load = 0.5 in
-            let rate = load *. float_of_int (servers * cores) /. Dist.mean service in
-            let measure = float_of_int req /. rate in
             let failplan =
               [
                 Cluster.Failplan.Crash
-                  { server = 0; start = 0.3 *. measure; duration = 0.25 *. measure };
+                  { server = 0; start = 0.3 *. measure load; duration = 0.25 *. measure load };
               ]
             in
-            let cfg = rcfg ~policy ?detect ?hedge ~failplan ~slo:1000. ~seed () in
-            let p = Rackrun.run cfg ~load in
-            let get key = Option.value ~default:0. (Run.info_value p key) in
+            let p = Rackrun.run (rcfg ~policy ?detect ?hedge ~failplan ~slo:1000. ~seed ()) ~load in
             [
-              label;
               Output.f3 p.Run.goodput;
               Output.f1 p.Run.p99;
-              string_of_int (int_of_float (get "rack_lost_requests"));
-              string_of_int (int_of_float (get "rack_failovers"));
-              string_of_int (int_of_float (get "health_detections"));
-              string_of_int (int_of_float (get "health_recoveries"));
-              string_of_int (int_of_float (get "rack_hedges"));
+              count p "rack_lost_requests";
+              count p "rack_failovers";
+              count p "health_detections";
+              count p "health_recoveries";
+              count p "rack_hedges";
             ]))
       [
         ("jsq-nodetect", Cluster.Policy.Jsq, None, None);
@@ -1087,13 +845,26 @@ let rack ~jobs ~scale =
         ("jbsq32-detect", Cluster.Policy.Jbsq 32, Some detect, None);
       ]
   in
-  let rows = Sweep.run ~jobs ~seed:master_seed points_d in
-  Output.print_subheader
-    "server 0 crashes for 25% of the run (load 0.5, SLO 1000us, detect: 300us timeout x3)";
-  Output.print_table
-    ~columns:
-      [ "variant"; "goodput(MRPS)"; "p99(us)"; "lost"; "failovers"; "detect"; "recover"; "hedges" ]
-    ~rows
+  render ~jobs
+    (Printf.sprintf
+       "Rack: %d x zygos-16 behind a ToR dispatcher (exp, S = 10us) vs M/G/%d bound" servers
+       (servers * cores))
+    [
+      panel ~title:"policy x load (5us feedback delay)"
+        [ "policy"; "load"; "tput(MRPS)"; "p99(us)"; "p999(us)" ]
+        policy_rows;
+      panel ~title:"estimate staleness x policy (load 0.85)"
+        [ "policy"; "delay(us)"; "p99(us)"; "p999(us)" ]
+        stale_rows;
+      panel ~title:"one degraded server (server 0 at 10x for 25% of the run, load 0.6)"
+        [ "policy"; "p99 clean(us)"; "p99 degraded(us)"; "degradation" ]
+        degraded_rows;
+      panel
+        ~title:
+          "server 0 crashes for 25% of the run (load 0.5, SLO 1000us, detect: 300us timeout x3)"
+        [ "variant"; "goodput(MRPS)"; "p99(us)"; "lost"; "failovers"; "detect"; "recover"; "hedges" ]
+        crash_rows;
+    ]
 
 type target = jobs:int -> scale:float -> unit
 

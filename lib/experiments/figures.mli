@@ -1,12 +1,13 @@
 (** Regeneration of every table and figure in the paper's evaluation
     (§2.3, §3.4, §6, §7), printing the same rows/series the paper plots.
 
-    Every generator is enumerate → run → render: it enumerates its grid
-    of independent simulation points, executes them on a {!Sweep} pool of
+    Every generator is data: a header plus panels, each a table whose rows
+    are label cells followed by the cells that the row's sweep points
+    render. One render step runs all of a figure's points in one {!Sweep} on
     [jobs] domains (idle domains steal; [jobs = 1] stays in the calling
-    domain), and renders the results in canonical order. Per-point seeds
-    are derived from the point's stable key (see {!Sweep.point_seed}), so
-    the rendered output is byte-identical for every [jobs] value.
+    domain) and prints the panels in order. Per-point seeds are derived
+    from the point's stable key (see {!Sweep.point_seed}), so the rendered
+    output is byte-identical for every [jobs] value.
 
     [scale] multiplies the per-point measured-request budget (1.0 = the
     defaults recorded in EXPERIMENTS.md; 0.2 for a quick pass). All output

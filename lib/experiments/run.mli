@@ -14,9 +14,15 @@ type system_kind =
   | Ix of int  (** bounded-batching parameter B *)
   | Zygos
   | Zygos_no_interrupts
+  | Zygos_round_robin
+      (** ZygOS with a round-robin idle-loop victim order instead of the
+          randomized one — the `ablate-poll` ablation *)
   | Preemptive of float
       (** centralized preemptive scheduling with the given quantum (µs) —
           the §2.3 "PS wins under extreme dispersion" extension *)
+  | Preemptive_consolidated of float
+      (** [Preemptive] with the default workload-consolidation control
+          plane parking idle cores — the §5 `ext-consolidate` extension *)
   | Ix_rebalanced of float
       (** IX with an RSS-reprogramming control plane, window in µs — the
           §5 "control plane interactions" extension *)
@@ -98,6 +104,26 @@ val point_of_tally :
 (** Reduce a latency tally to a sweep point (percentiles zeroed when the
     tally is empty). Exposed for runners outside this module —
     {!Rackrun} reduces rack simulations with it. *)
+
+val client_info : Net.Loadgen.t -> (string * float) list
+(** The client's retry, timeout and duplicate counters, as they appear in
+    the [info] of every simulated single-server and rack point. *)
+
+val make_server :
+  system_kind ->
+  Engine.Sim.t ->
+  Systems.Params.t ->
+  rng:Engine.Rng.t ->
+  pool:Net.Request.pool ->
+  conns:int ->
+  respond:(Net.Request.t -> unit) ->
+  Systems.Iface.t
+(** Build the simulated server of a system kind over [params] (the kind
+    applies its own variant: IX batching, no interrupts, round-robin
+    polling, consolidation). [rng] is used by the ZygOS kinds only. An
+    [Ix_rebalanced] server appends ["rebalance_moves"] and
+    ["rebalance_windows"] to its [info]. Raises [Invalid_argument] on the
+    model kinds, which have no server. *)
 
 val run_point : config -> load:float -> point
 (** Run one simulation at the given offered load. Deterministic in

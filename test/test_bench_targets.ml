@@ -2,20 +2,27 @@
    completion at a tiny scale without raising, and the registry must stay
    complete. The heavyweight sweep targets (fig3/fig6/fig7) are exercised
    once each at the minimum request budget; everything else too. Output is
-   redirected away so test logs stay readable. *)
+   captured through [Output.capture]; every deterministic target's output
+   is pinned by its MD5, so a refactor of the figure code must keep every
+   byte. fig10a/fig10b/table1 time real Silo transactions and are only run. *)
 
-let with_quiet_stdout f =
-  let saved = Unix.dup Unix.stdout in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  flush stdout;
-  Unix.dup2 devnull Unix.stdout;
-  Fun.protect
-    ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved;
-      Unix.close devnull)
-    f
+let goldens =
+  [
+    ("fig2", "9c8ac536b8650544a5ed9a8183c2ea80");
+    ("fig3", "cbbab8886af499f69fd5eeb5d80fc0b5");
+    ("fig6", "ea1234308570a3ed2e93fe3958d26776");
+    ("fig7", "52f1ee09b9eff409620177ddf1f54ae1");
+    ("fig8", "5fe0d71a3d2eb11dcab77fea91f63f64");
+    ("fig9", "3216a28fe7f6b807ec675cdd495d69e3");
+    ("fig11", "82b42822b0d78eeec3d7959ce306a5c5");
+    ("ablate-poll", "6fc48607f2cbc44612b62f27c241b5c1");
+    ("ablate-batch", "234c1366d28e45b4ec98492e8144c9b3");
+    ("ext-preempt", "c7dde09655511fe2acd0e90164d86b70");
+    ("ext-rebalance", "fc4e595a393eadedb689600c3a0ab68b");
+    ("ext-consolidate", "6266086fbdbf0c11e23f6db9d3eac371");
+    ("chaos", "28b661b35d431100acea857d6a2399d0");
+    ("rack", "b3a309f102fc41851c951ca181d0c109");
+  ]
 
 let fast_targets =
   [ "fig2"; "fig8"; "fig9"; "fig10a"; "fig10b"; "table1"; "fig11"; "ablate-poll";
@@ -26,7 +33,11 @@ let slow_targets = [ "fig3"; "fig7"; "fig6" ]
 let run_target ?(jobs = 1) name =
   match List.assoc_opt name Experiments.Figures.all_targets with
   | None -> Alcotest.failf "target %s missing from registry" name
-  | Some f -> with_quiet_stdout (fun () -> f ~jobs ~scale:0.01)
+  | Some f -> (
+      let out = Experiments.Output.capture (fun () -> f ~jobs ~scale:0.01) in
+      match List.assoc_opt name goldens with
+      | Some md5 -> Alcotest.(check string) (name ^ " output MD5") md5 Digest.(to_hex (string out))
+      | None -> ())
 
 (* jobs:2 so every fast target also exercises the pooled path. *)
 let test_fast_targets () = List.iter (run_target ~jobs:2) fast_targets
@@ -37,34 +48,64 @@ let test_registry_complete () =
   let names = List.map fst Experiments.Figures.all_targets in
   List.iter
     (fun n -> if not (List.mem n names) then Alcotest.failf "missing: %s" n)
-    (fast_targets @ slow_targets)
+    (fast_targets @ slow_targets);
+  List.iter
+    (fun n ->
+      if not (List.mem_assoc n goldens || List.mem n [ "fig10a"; "fig10b"; "table1" ]) then
+        Alcotest.failf "target %s has no output MD5" n)
+    names
 
-(* The CLI must reject an unknown figure target with a non-zero exit and
-   name the valid ones (the dune deps make the binary available). *)
+(* CLI checks run the binary (the dune deps make it available). *)
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
 
-let test_unknown_target_cli () =
-  let err = Filename.temp_file "zygos_cli" ".err" in
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Exit code, stdout and stderr of [main.exe args]. *)
+let run_cli args =
+  let out = Filename.temp_file "zygos_cli" ".out" and err = Filename.temp_file "zygos_cli" ".err" in
   Fun.protect
-    ~finally:(fun () -> Sys.remove err)
+    ~finally:(fun () ->
+      Sys.remove out;
+      Sys.remove err)
     (fun () ->
       let rc =
         Sys.command
-          (Printf.sprintf "../bin/main.exe no-such-target >/dev/null 2>%s"
+          (Printf.sprintf "../bin/main.exe %s >%s 2>%s" args (Filename.quote out)
              (Filename.quote err))
       in
-      if rc = 0 then Alcotest.fail "unknown target must exit non-zero";
-      let ic = open_in_bin err in
-      let out = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      List.iter
-        (fun needle ->
-          if not (contains out needle) then
-            Alcotest.failf "stderr must mention %S, got:\n%s" needle out)
-        [ "unknown target"; "valid targets:"; "rack"; "fig2"; "chaos" ])
+      (rc, read_file out, read_file err))
+
+(* An unknown figure target exits non-zero and names the valid ones. *)
+let test_unknown_target_cli () =
+  let rc, _, err = run_cli "no-such-target" in
+  if rc = 0 then Alcotest.fail "unknown target must exit non-zero";
+  List.iter
+    (fun needle ->
+      if not (contains err needle) then
+        Alcotest.failf "stderr must mention %S, got:\n%s" needle err)
+    [ "unknown target"; "valid targets:"; "rack"; "fig2"; "chaos" ]
+
+let test_point_cli () =
+  let rc, out, err =
+    run_cli "point --system ix --cores 2 --conns 16 --requests 500 --load 0.5"
+  in
+  if rc <> 0 then Alcotest.failf "zygos point exited %d:\n%s" rc err;
+  if not (contains out "completed=") then Alcotest.failf "no completed= line in:\n%s" out
+
+(* A zero load (or core count, ...) is a usage error, not a crash. *)
+let test_point_cli_rejects_zero () =
+  List.iter
+    (fun flag ->
+      let rc, _, err = run_cli (Printf.sprintf "point %s 0" flag) in
+      if rc = 0 then Alcotest.failf "point %s 0 must exit non-zero" flag;
+      if contains err "uncaught exception" || not (contains err flag) then
+        Alcotest.failf "point %s 0 must be a usage error naming the flag, got:\n%s" flag err)
+    [ "--load"; "--cores"; "--conns"; "--requests"; "--mean"; "--packets" ]
 
 let () =
   Alcotest.run "bench-targets"
@@ -74,6 +115,8 @@ let () =
           Alcotest.test_case "registry complete" `Quick test_registry_complete;
           Alcotest.test_case "unknown target exits non-zero" `Quick
             test_unknown_target_cli;
+          Alcotest.test_case "point subcommand" `Quick test_point_cli;
+          Alcotest.test_case "point rejects zero" `Quick test_point_cli_rejects_zero;
           Alcotest.test_case "fast targets run" `Slow test_fast_targets;
           Alcotest.test_case "sweep targets run" `Slow test_slow_targets;
         ] );

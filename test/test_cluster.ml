@@ -454,6 +454,42 @@ let test_rackrun_degenerates () =
         Alcotest.failf "rackrun(%s) diverges from bare run" (Policy.name policy))
     Policy.[ Static_hash; Random; Po2; Jsq; Jbsq 1_000_000 ]
 
+(* A rack server is any simulated single-ingress system: the models have
+   no server and a rebalanced IX owns its RSS table, so both are refused
+   when the config is built. *)
+let test_rackrun_config_kinds () =
+  let config system =
+    Rackrun.config ~system ~policy:Policy.Jsq ~service:(Dist.exponential 10.) ()
+  in
+  List.iter
+    (fun system ->
+      check_raises_any (Run.system_name system) (fun () -> ignore (config system : Rackrun.config)))
+    [ Run.Model_central_fcfs; Run.Model_partitioned_fcfs; Run.Ix_rebalanced 200. ];
+  List.iter
+    (fun system -> ignore (config system : Rackrun.config))
+    (Run.Zygos_round_robin :: Run.Preemptive_consolidated 10. :: Run.all_real_systems)
+
+(* Racks and single points build their servers through the same factory,
+   so a 1-server rack of the ablation kinds matches the bare point too. *)
+let test_rackrun_factory_kinds () =
+  let service = Dist.exponential 10. in
+  List.iter
+    (fun system ->
+      let bare =
+        Run.run_point
+          (Run.config ~system ~service ~cores:8 ~conns:128 ~requests:4_000 ~seed:17 ())
+          ~load:0.7
+      in
+      let rack =
+        Rackrun.run
+          (Rackrun.config ~servers:1 ~system ~cores:8 ~conns:128 ~requests:4_000 ~seed:17
+             ~policy:Policy.Jsq ~service ())
+          ~load:0.7
+      in
+      if point_fingerprint rack <> point_fingerprint bare then
+        Alcotest.failf "rackrun(%s) diverges from bare run" (Run.system_name system))
+    [ Run.Zygos_round_robin; Run.Preemptive_consolidated 10. ]
+
 (* ---- Determinism: equeue back ends and Sweep jobs ---- *)
 
 let rack_point ~policy ~seed =
@@ -593,6 +629,8 @@ let () =
         [
           Alcotest.test_case "1-server rack bitwise" `Slow test_one_server_rack_bitwise;
           Alcotest.test_case "rackrun degenerates" `Slow test_rackrun_degenerates;
+          Alcotest.test_case "rackrun config kinds" `Quick test_rackrun_config_kinds;
+          Alcotest.test_case "rackrun factory kinds" `Quick test_rackrun_factory_kinds;
         ] );
       ( "determinism",
         [

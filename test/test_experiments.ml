@@ -17,6 +17,9 @@ let test_system_names () =
   Alcotest.(check string) "ix" "ix" (Run.system_name (Run.Ix 1));
   Alcotest.(check string) "ix-b64" "ix-b64" (Run.system_name (Run.Ix 64));
   Alcotest.(check string) "zygos" "zygos" (Run.system_name Run.Zygos);
+  Alcotest.(check string) "zygos-rr" "zygos-rr" (Run.system_name Run.Zygos_round_robin);
+  Alcotest.(check string) "preempt-q10-cons" "preempt-q10-cons"
+    (Run.system_name (Run.Preemptive_consolidated 10.));
   Alcotest.(check string) "model" "M/G/n/FCFS" (Run.system_name Run.Model_central_fcfs);
   Alcotest.(check int) "five real systems" 5 (List.length Run.all_real_systems)
 
