@@ -45,7 +45,8 @@ type zcore = {
                               mutable float field of this mixed record would
                               box on every store *)
   mutable ipi_pending : bool;  (* an IPI is in flight / unhandled for this core *)
-  mutable wake_scheduled : bool;
+  mutable wake_scheduled : bool;  (* linked into a pending wake chain *)
+  mutable wake_next : int;  (* next core of that chain, or -1 *)
   mutable ipis_received : int;
   mutable rx_pending : int;  (* batch size of the in-flight rx segment *)
   (* Cursor of the batch walk over the scheduler's claimed scratch; the
@@ -86,7 +87,7 @@ type t = {
   mutable fn_rx_done : int -> unit;  (* deliver the [rx_pending] popped packets *)
   mutable fn_user_done : int -> unit;  (* batch walk: user segment of event [b_idx] ended *)
   mutable fn_tx_done : int -> unit;  (* batch walk: eager tx of event [b_idx] on the wire *)
-  mutable fn_wake : int -> unit;  (* iarg = core id *)
+  mutable fn_wake : int -> unit;  (* iarg = head core id of a wake chain *)
   mutable fn_ipi : int -> unit;  (* iarg = destination core id *)
   mutable fn_ipi_rx : int -> unit;  (* iarg = (rx_count lsl 16) lor core id *)
   mutable fn_remote_release : int -> unit;  (* iarg = connection id *)
@@ -173,26 +174,45 @@ let[@zygos.hot] emit_trace t ev =
    the untraced steady state allocates nothing. *)
 let[@zygos.hot] tracing t = Option.is_some t.trace
 
-(* ---- idle wakeups ---- *)
+(* ---- idle wakeups ----
+
+   A wake event carries the head of a chain of cores linked through
+   [wake_next]; [fn_wake] steps them in chain order. One event per
+   batch of wakes fires them exactly as one event per core would: those
+   had equal times and consecutive seqnos, so nothing could run between
+   them, and a chained core ([wake_scheduled]) is never re-chained
+   before its turn. *)
 
 let rec wake t c ~delay =
   (if c.mode = Midle && not c.wake_scheduled then begin
      c.wake_scheduled <- true;
-     Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. delay);
-     let _ : Sim.handle = Sim.schedule_fn_keyed t.sim t.fn_wake c.id in
-     ()
+     c.wake_next <- -1;
+     schedule_wake t c.id ~delay
    end)
 [@@zygos.hot]
 
+and schedule_wake t head ~delay =
+  (Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. delay);
+   let _ : Sim.handle = Sim.schedule_fn_keyed t.sim t.fn_wake head in
+   ())
+[@@zygos.hot]
+
 and wake_idlers t ~delay =
-  (* ascending core order: equal-time wakes fire in scheduling order *)
-  (let i = ref (next_bit t.idle_bits 0) in
+  (* ascending core order, the order the chain steps them in *)
+  (let head = ref (-1) and tail = ref (-1) in
+   let i = ref (next_bit t.idle_bits 0) in
    while !i >= 0 do
      let c = t.zcores.(!i) in
      assert (c.mode = Midle);
-     wake t c ~delay;
+     if not c.wake_scheduled then begin
+       c.wake_scheduled <- true;
+       c.wake_next <- -1;
+       if !tail < 0 then head := !i else t.zcores.(!tail).wake_next <- !i;
+       tail := !i
+     end;
      i := next_bit t.idle_bits (!i + 1)
-   done)
+   done;
+   if !head >= 0 then schedule_wake t !head ~delay)
 [@@zygos.hot]
 
 (* ---- inter-processor interrupts (§4.5, exit-less per §5) ---- *)
@@ -488,6 +508,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
           done_buf = Array.make 1 0.;
           ipi_pending = false;
           wake_scheduled = false;
+          wake_next = -1;
           ipis_received = 0;
           rx_pending = 0;
           b_idx = 0;
@@ -534,10 +555,14 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       c.cur_handle <- Sim.no_handle;
       step t c) [@zygos.hot];
   t.fn_wake <-
-    (fun id ->
-      let c = t.zcores.(id) in
-      c.wake_scheduled <- false;
-      if c.mode = Midle && c.cur_handle = Sim.no_handle then step t c) [@zygos.hot];
+    (fun head ->
+      let id = ref head in
+      while !id >= 0 do
+        let c = t.zcores.(!id) in
+        id := c.wake_next;
+        c.wake_scheduled <- false;
+        if c.mode = Midle && c.cur_handle = Sim.no_handle then step t c
+      done) [@zygos.hot];
   t.fn_ipi <- (fun id -> deliver_ipi t t.zcores.(id)) [@zygos.hot];
   t.fn_ipi_rx <-
     (fun packed ->
