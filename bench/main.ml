@@ -234,13 +234,16 @@ let micro_tests () =
         | Some (p, _, _) -> S.complete sched p
         | None -> assert false)
   in
-  let victim_order_bench cores =
-    (* The randomized victim permutation an idle ZygOS core draws on every
-       poll: a shuffle of the cores-1 other cores. *)
+  let victim_walk_bench cores =
+    (* A full victim walk of the cores-1 other cores, one draw per step:
+       the most an idle ZygOS core can draw in one steal or IPI walk. *)
     let policy = Core.Steal_policy.create ~rng:(Engine.Rng.create ~seed:3) ~cores ~self:0 in
     one
-      (Printf.sprintf "core: steal victim order (%d cores)" cores)
-      (fun () -> ignore (Core.Steal_policy.victim_order policy : int array))
+      (Printf.sprintf "core: steal victim walk (%d cores)" cores)
+      (fun () ->
+        for k = 0 to Core.Steal_policy.victims policy - 1 do
+          ignore (Core.Steal_policy.random_victim policy k : int)
+        done)
   in
   let btree = Silo.Btree.create () in
   let () =
@@ -293,8 +296,8 @@ let micro_tests () =
     tally_bench;
     histogram_bench;
     sched_bench;
-    victim_order_bench 16;
-    victim_order_bench 64;
+    victim_walk_bench 16;
+    victim_walk_bench 64;
     btree_get_bench;
     btree_churn_bench;
     payment_bench;

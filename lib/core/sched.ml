@@ -33,6 +33,8 @@ module type S = sig
 
   val poll_local : 'ev t -> core:int -> bool
 
+  val steal_from : 'ev t -> core:int -> victim:int -> bool
+
   val batch_pcb : 'ev t -> core:int -> 'ev pcb
 
   val batch_size : 'ev t -> core:int -> int
@@ -282,6 +284,8 @@ module Make (L : Platform.LOCK) : S with type lock = L.t = struct
 
   let[@zygos.hot] poll_local t ~core =
     Atomic.get t.ready <> 0 && claim_from t ~core ~victim:core
+
+  let[@zygos.hot] steal_from t ~core ~victim = claim_from t ~core ~victim
 
   let[@zygos.hot] batch_pcb t ~core =
     let me = t.core_states.(core) in

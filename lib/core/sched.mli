@@ -75,19 +75,30 @@ module type S = sig
 
   (** {2 Zero-allocation dispatch}
 
-      The allocation-free face of {!next}: a successful {!poll} claims
-      the batch into per-core scratch storage (one flat array walk, no
-      list cons per event, no [option]/[source] allocation), read back
-      through the accessors below. The scratch is valid until the same
-      core's next [poll]/[poll_local]; consume it first. {!next} and
-      {!next_local} are list-building wrappers over the same claim, so
-      counters behave identically whichever face is used. *)
+      The allocation-free face of {!next}: a successful {!poll},
+      {!poll_local} or {!steal_from} claims the batch into per-core
+      scratch storage (one flat array walk, no list cons per event, no
+      [option]/[source] allocation), read back through the accessors
+      below. The scratch is valid until the same core's next claim;
+      consume it first. {!next} and {!next_local} are list-building
+      wrappers over the same claim, so counters behave identically
+      whichever face is used. *)
 
   val poll : 'ev t -> core:int -> steal_order:int array -> bool
   (** Claim the next batch for [core] (own queue first, then steal in
       [steal_order] under try-locks). [false] = every queue empty. *)
 
   val poll_local : 'ev t -> core:int -> bool
+  (** {!poll} with an empty steal order: [core]'s own queue only. *)
+
+  val steal_from : 'ev t -> core:int -> victim:int -> bool
+  (** One step of a steal walk: claim the next batch for [core] from
+      [victim]'s shuffle queue alone, under a try-lock (§5). [false] when
+      that queue is empty or its lock is taken. A walk is [poll_local]
+      then [steal_from] over victims drawn one at a time (see
+      {!Steal_policy}), stopping at the first [true]; [has_ready] tells
+      when no walk can succeed. With [victim = core] this is a local
+      claim (blocking lock). *)
 
   val batch_pcb : 'ev t -> core:int -> 'ev pcb
   (** PCB of the batch claimed by [core]'s last successful poll. Raises

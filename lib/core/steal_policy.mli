@@ -8,9 +8,11 @@
     for steps (b)–(d) the order in which the other cores are visited is
     randomized to avoid herding of thieves onto one victim.
 
-    This module produces those randomized victim orders. It also provides
-    the deterministic round-robin order used by the `ablate-poll`
-    ablation. *)
+    This module produces that order one victim at a time: a {e walk} asks
+    for victim [0], then [1], and so on, and stops as soon as it has found
+    what it polls for, so it draws randomness only as far as it goes. It
+    also provides the deterministic round-robin order used by the
+    `ablate-poll` ablation. *)
 
 type t
 
@@ -18,10 +20,21 @@ val create : rng:Engine.Rng.t -> cores:int -> self:int -> t
 (** Policy state for one core. Raises [Invalid_argument] when [self] is out
     of range or [cores < 1]. *)
 
-val victim_order : t -> int array
-(** A fresh random permutation of all cores except [self]. The returned
-    array is reused by the next call — copy it to retain it. *)
+val victims : t -> int
+(** Number of victims, [cores - 1]: the length of a full walk. *)
 
-val round_robin_order : t -> int array
-(** Deterministic order [self+1, self+2, ..., self-1 (mod cores)] — the
-    naive policy the ablation benchmark compares against. *)
+val random_victim : t -> int -> int
+(** [random_victim t k] is step [k] of a random walk, for
+    [0 <= k < victims t]: a forward Fisher–Yates step that swaps slot [k]
+    of the victim array with a uniform draw from [[k, victims t)] and
+    returns the victim now in slot [k]. Steps [0, 1, ..., k] of one walk
+    are a uniformly random sequence of distinct cores other than [self];
+    a new walk starts again at step [0]. Each step consumes exactly one
+    [Engine.Rng.int] draw. Raises [Invalid_argument] when [k] is out of
+    range. *)
+
+val rr_victim : t -> int -> int
+(** [rr_victim t k] is step [k] of the deterministic order
+    [self+1, self+2, ..., self-1 (mod cores)] — the naive policy the
+    ablation benchmark compares against. Draws nothing. Raises
+    [Invalid_argument] when [k] is out of range. *)

@@ -2,7 +2,7 @@
    [mutable int64] record field, but every write to a boxed-int64 field
    allocates a fresh box, and the mix arithmetic crossing function
    boundaries boxed each intermediate — 8 minor words per draw on paths
-   (arrival gaps, service samples, steal-victim shuffles) that run for
+   (arrival gaps, service samples, steal-victim draws) that run for
    every simulated request. Bigarray storage is flat, and keeping the
    whole mix chain inside each draw function lets the compiler keep the
    intermediates in registers: an [int] draw now allocates nothing and a
@@ -79,19 +79,3 @@ let[@zygos.hot] normal (t : t) ~mu ~sigma =
   let u1 = 1. -. float t and u2 = float t in
   let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
   mu +. (sigma *. z)
-
-(* Fisher–Yates with the [int] draw chain inlined: each step draws
-   exactly [int t (i + 1)]. Monomorphic, so the swaps are plain stores,
-   with no [caml_modify] and no float-array check. *)
-let[@zygos.hot] shuffle_in_place (t : t) (a : int array) =
-  for i = Array.length a - 1 downto 1 do
-    let s = Int64.add (Bigarray.Array1.unsafe_get t 0) golden_gamma in
-    Bigarray.Array1.unsafe_set t 0 s;
-    let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
-    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
-    let z = Int64.(logxor z (shift_right_logical z 31)) in
-    let j = Int64.to_int (Int64.rem (Int64.shift_right_logical z 1) (Int64.of_int (i + 1))) in
-    let tmp = Array.unsafe_get a i in
-    Array.unsafe_set a i (Array.unsafe_get a j);
-    Array.unsafe_set a j tmp
-  done

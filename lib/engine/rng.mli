@@ -46,9 +46,3 @@ val exponential : t -> mean:float -> float
 
 val normal : t -> mu:float -> sigma:float -> float
 (** Gaussian sample (Box–Muller). *)
-
-val shuffle_in_place : t -> int array -> unit
-(** Fisher–Yates shuffle, used to randomize steal-victim polling order.
-    For [i] from [length - 1] down to [1], each step draws exactly
-    [int t (i + 1)] and swaps index [i] with the drawn one, so a shuffle
-    of length [n] consumes [max 0 (n - 1)] draws. *)

@@ -201,7 +201,12 @@ let load ?(warehouses = 1) ?(profile = `Small) ?(seed = 7) () =
       done;
       (* Initial orders: customers in a random permutation, per spec. *)
       let customers = Array.init n_orders (fun i -> (i mod n_customers) + 1) in
-      Rng.shuffle_in_place rng customers;
+      for i = n_orders - 1 downto 1 do
+        let j = Rng.int rng (i + 1) in
+        let c = customers.(i) in
+        customers.(i) <- customers.(j);
+        customers.(j) <- c
+      done;
       for o = 1 to n_orders do
         let c = customers.(o - 1) in
         let ol_cnt = Rng.int_range rng 5 15 in

@@ -30,6 +30,8 @@ let validate t =
       bad (Printf.sprintf "%s must be a finite non-negative time, got %g" name x)
   in
   if t.cores < 1 then bad "cores < 1";
+  (* ZygOS packs a core id into the low 16 bits of its IPI-rx events *)
+  if t.cores > 0xffff then bad (Printf.sprintf "cores = %d > 65535" t.cores);
   if t.ring_capacity < 1 then bad "ring_capacity < 1";
   if t.rpc_packets < 1 then bad "rpc_packets < 1";
   if t.ix_batch < 1 then bad "ix_batch < 1";

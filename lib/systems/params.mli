@@ -48,7 +48,8 @@ type t = {
 
 val validate : t -> t
 (** Returns its argument after checking every invariant: positive
-    counts/capacities, finite non-negative overheads, straggler specs
+    counts/capacities, at most 65535 cores (ZygOS events carry a core id
+    in 16 bits), finite non-negative overheads, straggler specs
     within range. Raises [Invalid_argument] with the offending field
     otherwise. Every system model validates its parameters on
     construction, so a nonsensical record fails fast instead of silently

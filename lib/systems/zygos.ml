@@ -177,11 +177,11 @@ let[@zygos.hot] tracing t = Option.is_some t.trace
 (* ---- idle wakeups ----
 
    A wake event carries the head of a chain of cores linked through
-   [wake_next]; [fn_wake] steps them in chain order. One event per
-   batch of wakes fires them exactly as one event per core would: those
-   had equal times and consecutive seqnos, so nothing could run between
-   them, and a chained core ([wake_scheduled]) is never re-chained
-   before its turn. *)
+   [wake_next]; [fn_wake] steps them in chain order. That is the same as
+   one wake event per core at the same instant with consecutive seqnos,
+   which both event queues would fire back to back: nothing scheduled
+   meanwhile can run between them. A chained core ([wake_scheduled]) is
+   never linked into a second chain before its turn. *)
 
 let rec wake t c ~delay =
   (if c.mode = Midle && not c.wake_scheduled then begin
@@ -347,17 +347,27 @@ and try_drain_remote t c =
       true
 [@@zygos.hot]
 
-and victim_order t c =
-  (if t.p.zy_poll_random then Core.Steal_policy.victim_order c.policy
-   else Core.Steal_policy.round_robin_order c.policy)
+(* Step [k] of this core's victim walk. *)
+and victim t c k =
+  (if t.p.zy_poll_random then Core.Steal_policy.random_victim c.policy k
+   else Core.Steal_policy.rr_victim c.policy k)
+[@@zygos.hot]
+
+(* Steal from the victims in walk order until a claim succeeds. Called
+   only while some other core's shuffle queue is non-empty, so in the
+   simulator (no lock contention) it always ends in a claim. *)
+and steal_walk t c k =
+  k < Core.Steal_policy.victims c.policy
+  && (Sched.steal_from t.sched ~core:c.id ~victim:(victim t c k) || steal_walk t c (k + 1))
 [@@zygos.hot]
 
 and try_dispatch t c =
-  (* Own shuffle queue first, then steal in randomized victim order. The
-     claimed batch stays in the scheduler's per-core scratch — processed
-     in place as one array walk, no per-event list. *)
-  (let order = victim_order t c in
-   if not (Sched.poll t.sched ~core:c.id ~steal_order:order) then false
+  (* Own shuffle queue first, then steal in randomized victim order,
+     drawing victims only as far as the walk goes. The claimed batch
+     stays in the scheduler's per-core scratch — processed in place as
+     one array walk, no per-event list. *)
+  (if not (Sched.poll_local t.sched ~core:c.id || (Sched.has_ready t.sched && steal_walk t c 0))
+   then false
    else begin
      let stolen = Sched.batch_stolen_from t.sched ~core:c.id in
      (if tracing t then begin
@@ -453,19 +463,31 @@ and go_idle t c =
    queues; when a busy-at-user core has packets but an empty shuffle
    queue, interrupt it so it replenishes the shuffle queue for stealing.
 
-   The victim order is drawn on every call, keeping the RNG stream.
-   [send_ipi] changes no other core's candidacy, so only two or more
-   candidates need the walk that fixes their IPI order. *)
+   [send_ipi] changes no other core's candidacy, so a single candidate
+   needs no order, and two or more are interrupted in victim-walk order,
+   the walk ending at the last of them. *)
 and scan_and_ipi t c =
-  (let order = victim_order t c in
-   let first = next_candidate t 0 in
-   if first >= 0 then
-     if next_candidate t (first + 1) < 0 then send_ipi t ~src:c.id t.zcores.(first)
-     else
-       for k = 0 to Array.length order - 1 do
-         let v = t.zcores.(order.(k)) in
-         if ipi_candidate t v then send_ipi t ~src:c.id v
-       done)
+  (let first = next_candidate t 0 in
+   if first >= 0 then begin
+     let n = count_candidates t (first + 1) 1 in
+     if n = 1 then send_ipi t ~src:c.id t.zcores.(first) else ipi_walk t c 0 n
+   end)
+[@@zygos.hot]
+
+and count_candidates t from n =
+  (let vid = next_candidate t from in
+   if vid < 0 then n else count_candidates t (vid + 1) (n + 1))
+[@@zygos.hot]
+
+and ipi_walk t c k left =
+  (if left > 0 then begin
+     let v = t.zcores.(victim t c k) in
+     if ipi_candidate t v then begin
+       send_ipi t ~src:c.id v;
+       ipi_walk t c (k + 1) (left - 1)
+     end
+     else ipi_walk t c (k + 1) left
+   end)
 [@@zygos.hot]
 
 and next_candidate t from =

@@ -4,24 +4,27 @@
    once each at the minimum request budget; everything else too. Output is
    captured through [Output.capture]; every deterministic target's output
    is pinned by its MD5, so a refactor of the figure code must keep every
-   byte. fig10a/fig10b/table1 time real Silo transactions and are only run. *)
+   byte. fig10a/fig10b/table1 time real Silo transactions and are only run.
+   Every target that runs the randomized ZygOS idle loop (fig6-9, fig11,
+   ablate-poll, ext-preempt, ext-rebalance, chaos, rack) was re-captured
+   when its steal walk began drawing victims one at a time. *)
 
 let goldens =
   [
     ("fig2", "9c8ac536b8650544a5ed9a8183c2ea80");
     ("fig3", "cbbab8886af499f69fd5eeb5d80fc0b5");
-    ("fig6", "ea1234308570a3ed2e93fe3958d26776");
-    ("fig7", "52f1ee09b9eff409620177ddf1f54ae1");
-    ("fig8", "5fe0d71a3d2eb11dcab77fea91f63f64");
-    ("fig9", "3216a28fe7f6b807ec675cdd495d69e3");
-    ("fig11", "82b42822b0d78eeec3d7959ce306a5c5");
-    ("ablate-poll", "6fc48607f2cbc44612b62f27c241b5c1");
+    ("fig6", "c5b51518cf782450e54cb40842c7c7d5");
+    ("fig7", "00bf75f368d44bbd4e629dfb2ffacac1");
+    ("fig8", "8fa69bcec9c2aca8913985b1e18cca2d");
+    ("fig9", "16dda862cf477da4763331539ff2e0a6");
+    ("fig11", "6808d0f9d592a66da9d7d27fbbd2712f");
+    ("ablate-poll", "df8c7a56ad237efdd0c5a0790be611a0");
     ("ablate-batch", "234c1366d28e45b4ec98492e8144c9b3");
-    ("ext-preempt", "c7dde09655511fe2acd0e90164d86b70");
-    ("ext-rebalance", "fc4e595a393eadedb689600c3a0ab68b");
+    ("ext-preempt", "378f3ea2d41554541d949cc3c4b6ffdc");
+    ("ext-rebalance", "538ff8a5f44083fe8fef180e7b1c1318");
     ("ext-consolidate", "6266086fbdbf0c11e23f6db9d3eac371");
-    ("chaos", "28b661b35d431100acea857d6a2399d0");
-    ("rack", "b3a309f102fc41851c951ca181d0c109");
+    ("chaos", "c937b9d61bad6646abb8695d2680251c");
+    ("rack", "03164d1a25e08e704901002ad6228bf1");
   ]
 
 let fast_targets =

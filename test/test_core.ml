@@ -124,7 +124,9 @@ let prop_scheduler_model =
       let delivered = Array.make conns [] in
       let executed = Array.make conns [] in
       let in_flight : (int, (int S.pcb * int list)) Hashtbl.t = Hashtbl.create 8 in
-      let rng = Engine.Rng.create ~seed:1 in
+      let policies =
+        Array.init cores (fun self -> Policy.create ~rng:(Engine.Rng.create ~seed:1) ~cores ~self)
+      in
       List.iter
         (fun op ->
           match op with
@@ -134,8 +136,8 @@ let prop_scheduler_model =
               delivered.(conn) <- id :: delivered.(conn);
               S.deliver sched pcbs.(conn) id
           | Dispatch core -> (
-              let order = Array.init cores (fun i -> i) in
-              Engine.Rng.shuffle_in_place rng order;
+              let p = policies.(core) in
+              let order = Array.init (Policy.victims p) (Policy.random_victim p) in
               match S.next sched ~core ~steal_order:order with
               | None -> ()
               | Some (pcb, batch, _) ->
@@ -185,29 +187,90 @@ let prop_scheduler_model =
 
 (* ---- steal policy ---- *)
 
+let full_walk p = Array.init (Policy.victims p) (Policy.random_victim p)
+
 let test_policy_permutation () =
   let rng = Engine.Rng.create ~seed:2 in
   let p = Policy.create ~rng ~cores:8 ~self:3 in
   for _ = 1 to 50 do
-    let order = Policy.victim_order p in
-    let sorted = List.sort compare (Array.to_list order) in
+    let sorted = List.sort compare (Array.to_list (full_walk p)) in
     Alcotest.(check (list int)) "permutation of others" [ 0; 1; 2; 4; 5; 6; 7 ] sorted
   done
 
 let test_policy_round_robin () =
   let rng = Engine.Rng.create ~seed:3 in
   let p = Policy.create ~rng ~cores:4 ~self:2 in
-  Alcotest.(check (list int)) "rr order" [ 3; 0; 1 ] (Array.to_list (Policy.round_robin_order p))
+  Alcotest.(check (list int)) "rr order" [ 3; 0; 1 ] (List.init 3 (Policy.rr_victim p));
+  Alcotest.check_raises "past the last victim"
+    (Invalid_argument "Steal_policy.rr_victim: step out of range") (fun () ->
+      ignore (Policy.rr_victim p 3 : int))
 
 let test_policy_randomizes () =
   let rng = Engine.Rng.create ~seed:4 in
   let p = Policy.create ~rng ~cores:16 ~self:0 in
-  let a = Array.copy (Policy.victim_order p) in
+  let a = full_walk p in
   let differs = ref false in
   for _ = 1 to 20 do
-    if Policy.victim_order p <> a then differs := true
+    if full_walk p <> a then differs := true
   done;
-  Alcotest.(check bool) "order varies across calls" true !differs
+  Alcotest.(check bool) "order varies across walks" true !differs
+
+(* Step [k] of a walk is one [Rng.int r (victims - k)] draw: on a copy of
+   the same state, a reference forward Fisher–Yates yields the same
+   victims and leaves the generator at the same point, however far the
+   walk goes and whatever an earlier walk left in the victim array. *)
+let prop_walk_draws =
+  QCheck.Test.make ~name:"k-step walk = k Rng.int draws" ~count:300
+    QCheck.(quad int (int_range 2 70) small_nat small_nat)
+    (fun (seed, cores, earlier, steps) ->
+      let self = seed land max_int mod cores in
+      let rng = Engine.Rng.create ~seed in
+      let ref_rng = Engine.Rng.copy rng in
+      let p = Policy.create ~rng ~cores ~self in
+      let n = Policy.victims p in
+      let a = Array.init n (fun i -> if i < self then i else i + 1) in
+      let ref_step k =
+        let j = k + Engine.Rng.int ref_rng (n - k) in
+        let v = a.(j) in
+        a.(j) <- a.(k);
+        a.(k) <- v;
+        v
+      in
+      let e = earlier mod (n + 1) and k = steps mod (n + 1) in
+      List.init e (Policy.random_victim p) = List.init e ref_step
+      && List.init k (Policy.random_victim p) = List.init k ref_step
+      && Int64.equal (Engine.Rng.next_int64 rng) (Engine.Rng.next_int64 ref_rng))
+
+(* The first and the second victim of a walk are each uniform over the
+   other cores, across back-to-back two-step walks on one policy (each
+   starting from the array the last one left). Pearson chi-square with
+   14 degrees of freedom; 36.12 is its 0.999 quantile. *)
+let test_walk_uniform () =
+  let cores = 16 and self = 5 and walks = 100_000 in
+  let p = Policy.create ~rng:(Engine.Rng.create ~seed:6) ~cores ~self in
+  let first = Array.make cores 0 and second = Array.make cores 0 in
+  for _ = 1 to walks do
+    let v0 = Policy.random_victim p 0 in
+    let v1 = Policy.random_victim p 1 in
+    if v0 = v1 then Alcotest.fail "a walk revisited a victim";
+    first.(v0) <- first.(v0) + 1;
+    second.(v1) <- second.(v1) + 1
+  done;
+  let chi2 counts =
+    let expected = float_of_int walks /. float_of_int (cores - 1) in
+    let acc = ref 0. in
+    Array.iteri
+      (fun v n ->
+        if v = self then Alcotest.(check int) "self never a victim" 0 n
+        else acc := !acc +. (((float_of_int n -. expected) ** 2.) /. expected))
+      counts;
+    !acc
+  in
+  List.iter
+    (fun (name, counts) ->
+      let x = chi2 counts in
+      if x > 36.12 then Alcotest.failf "%s victim: chi-square %.2f > 36.12 (df 14)" name x)
+    [ ("first", first); ("second", second) ]
 
 let test_policy_validation () =
   let rng = Engine.Rng.create ~seed:5 in
@@ -238,23 +301,27 @@ let test_mt_sched_stress () =
   let worker core =
     let rng = Engine.Rng.create ~seed:(100 + core) in
     let policy = Policy.create ~rng ~cores ~self:core in
+    let rec steal k =
+      k < Policy.victims policy
+      && (Mt.steal_from sched ~core ~victim:(Policy.random_victim policy k) || steal (k + 1))
+    in
     let rec loop () =
-      match Mt.next sched ~core ~steal_order:(Policy.victim_order policy) with
-      | Some (pcb, batch, _) ->
-          let conn = Mt.conn pcb in
-          List.iter
-            (fun ev ->
-              let log = executed.(conn) in
-              let rec push () =
-                let old = Atomic.get log in
-                if not (Atomic.compare_and_set log old (ev :: old)) then push ()
-              in
-              push ();
-              ignore (Atomic.fetch_and_add total 1 : int))
-            batch;
-          Mt.complete sched pcb;
-          loop ()
-      | None -> if not (Atomic.get stop) then loop ()
+      if Mt.poll_local sched ~core || (Mt.has_ready sched && steal 0) then begin
+        let pcb = Mt.batch_pcb sched ~core in
+        let log = executed.(Mt.conn pcb) in
+        for i = 0 to Mt.batch_size sched ~core - 1 do
+          let ev = Mt.batch_event sched ~core i in
+          let rec push () =
+            let old = Atomic.get log in
+            if not (Atomic.compare_and_set log old (ev :: old)) then push ()
+          in
+          push ();
+          ignore (Atomic.fetch_and_add total 1 : int)
+        done;
+        Mt.complete sched pcb;
+        loop ()
+      end
+      else if not (Atomic.get stop) then loop ()
     in
     loop ()
   in
@@ -300,6 +367,8 @@ let () =
           Alcotest.test_case "round robin" `Quick test_policy_round_robin;
           Alcotest.test_case "randomizes" `Quick test_policy_randomizes;
           Alcotest.test_case "validation" `Quick test_policy_validation;
+          QCheck_alcotest.to_alcotest prop_walk_draws;
+          Alcotest.test_case "walk victims uniform (chi-square)" `Quick test_walk_uniform;
         ] );
       ("remote-queue", [ Alcotest.test_case "fifo" `Quick test_remote_queue_fifo ]);
       ("multicore", [ Alcotest.test_case "mt stress" `Slow test_mt_sched_stress ]);

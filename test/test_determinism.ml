@@ -23,7 +23,11 @@ type golden = {
 }
 
 (* Captured with: cores=4, conns=64, requests=2000, seed=7,
-   service=exponential(10µs), loads [0.3; 0.7]. *)
+   service=exponential(10µs), loads [0.3; 0.7]. The ZygOS points were
+   re-captured when the idle loop's steal walk started drawing victims
+   one at a time instead of a full permutation per poll: same
+   distribution, different RNG realization (the distribution is checked
+   in test_zygos_model.ml). *)
 let goldens =
   [
     {
@@ -74,9 +78,9 @@ let goldens =
       g_system = Run.Zygos;
       g_load = 0x1.3333333333333p-2;
       g_throughput = 0x1.eb851eb851eb8p-4;
-      g_mean = 0x1.a00e003005d62p+3;
-      g_p50 = 0x1.343cdabca5p+3;
-      g_p99 = 0x1.a4414cec587p+5;
+      g_mean = 0x1.a0411c7f61bedp+3;
+      g_p50 = 0x1.33b4343db5p+3;
+      g_p99 = 0x1.a6fb60fe44ap+5;
       g_p999 = 0x1.63ef50baa9ap+6;
       g_completed = 1999;
       g_order_violations = 0;
@@ -85,10 +89,10 @@ let goldens =
       g_system = Run.Zygos;
       g_load = 0x1.6666666666666p-1;
       g_throughput = 0x1.1f94855da2728p-2;
-      g_mean = 0x1.955e912d2b1bcp+4;
-      g_p50 = 0x1.36e46feb95dp+4;
-      g_p99 = 0x1.9c9d9c67c648p+6;
-      g_p999 = 0x1.82ab03f713b2p+7;
+      g_mean = 0x1.96d8d1a1b9cddp+4;
+      g_p50 = 0x1.303771ccc8dp+4;
+      g_p99 = 0x1.be37c2b0579p+6;
+      g_p999 = 0x1.107247b17848p+7;
       g_completed = 1999;
       g_order_violations = 0;
     };
@@ -121,14 +125,15 @@ let test_fixed_seed_sweep () =
         expected points)
     [ Run.Linux_floating; Run.Ix 1; Run.Zygos ]
 
-(* Paper-scale ZygOS goldens: the idle loop's victim shuffles run over
-   cores-1 = 15, 32 and 63 victims here (the 4-core points above only
-   ever shuffle 3), and 33 and 64 cores straddle and fill 32-bit words
+(* Paper-scale ZygOS goldens: the idle loop's victim walks run over up
+   to cores-1 = 15, 32 and 63 victims here (the 4-core points above only
+   ever walk 3), and 33 and 64 cores straddle and fill 32-bit words
    of any per-core bitmap. The fixed-service points put many events at
    equal times, where the order of same-instant IPIs shows in the
    results. Captured with: conns=1024, requests=3000, seed=11, service
    exponential(10µs) at loads [0.3; 0.8] and fixed(10µs) at
-   [0.7; 0.75]. *)
+   [0.7; 0.75], and re-captured with the one-victim-at-a-time steal
+   walk like the ZygOS points above. *)
 type paper_golden = {
   p_system : Run.system_kind;
   p_cores : int;
@@ -155,67 +160,67 @@ let paper_goldens =
       p_fixed = false;
       p_load = 0x1.3333333333333p-2;
       p_throughput = 0x1.ff822bbecaab9p-2;
-      p_mean = 0x1.9d59f1686711dp+3;
-      p_p50 = 0x1.3e0a350fd56p+3;
-      p_p99 = 0x1.97faa9d6d148p+5;
+      p_mean = 0x1.9d76e0792bb18p+3;
+      p_p50 = 0x1.3f17874a559p+3;
+      p_p99 = 0x1.97fc3a8c83bcp+5;
       p_p999 = 0x1.201934d4cc6p+6;
       p_completed = 3120;
-      p_steal_fraction = 0x1.56f96f96f96f9p-2;
-      p_ipis_sent = 2814;
-      p_local_events = 2490;
-      p_stolen_events = 1254;
-      p_remote_batches = 1253;
+      p_steal_fraction = 0x1.55e15e15e15e1p-2;
+      p_ipis_sent = 2818;
+      p_local_events = 2494;
+      p_stolen_events = 1250;
+      p_remote_batches = 1249;
     };
     {
       p_system = Run.Zygos;
       p_cores = 16;
       p_fixed = false;
       p_load = 0x1.999999999999ap-1;
-      p_throughput = 0x1.4fdf3b645a1cbp+0;
-      p_mean = 0x1.c57dafb67dcd7p+4;
-      p_p50 = 0x1.8b0e817420e8p+4;
-      p_p99 = 0x1.57d2a8390a34p+6;
-      p_p999 = 0x1.c3332e18b13ap+6;
+      p_throughput = 0x1.4fa74ed597be4p+0;
+      p_mean = 0x1.c6e93157402bcp+4;
+      p_p50 = 0x1.923c3f80c7bcp+4;
+      p_p99 = 0x1.54d7509fc14b8p+6;
+      p_p999 = 0x1.c4d1218ab7fp+6;
       p_completed = 3120;
-      p_steal_fraction = 0x1.6992992992993p-1;
-      p_ipis_sent = 4245;
-      p_local_events = 1100;
-      p_stolen_events = 2644;
-      p_remote_batches = 2610;
+      p_steal_fraction = 0x1.671c71c71c71cp-1;
+      p_ipis_sent = 4199;
+      p_local_events = 1118;
+      p_stolen_events = 2626;
+      p_remote_batches = 2595;
     };
     {
       p_system = Run.Zygos;
       p_cores = 16;
       p_fixed = true;
       p_load = 0x1.6666666666666p-1;
-      p_throughput = 0x1.24436492093acp+0;
-      p_mean = 0x1.0fb20ae569b68p+4;
-      p_p50 = 0x1.0718f7eafc0cp+4;
-      p_p99 = 0x1.c9e1d1b0f7dp+4;
-      p_p999 = 0x1.118a2ca9655p+5;
+      p_throughput = 0x1.2474538ef34d6p+0;
+      p_mean = 0x1.0d8821c7a230dp+4;
+      p_p50 = 0x1.054cc82ff8f8p+4;
+      p_p99 = 0x1.c13c964bc36p+4;
+      p_p999 = 0x1.1860a167527ap+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.829ee58469ee6p-1;
-      p_ipis_sent = 6530;
-      p_local_events = 909;
-      p_stolen_events = 2803;
-      p_remote_batches = 2797;
+      p_steal_fraction = 0x1.8069ee58469eep-1;
+      p_ipis_sent = 6481;
+      p_local_events = 925;
+      p_stolen_events = 2787;
+      p_remote_batches = 2780;
     };
     {
       p_system = Run.Zygos;
       p_cores = 16;
       p_fixed = true;
       p_load = 0x1.8p-1;
-      p_throughput = 0x1.3a29c779a6b51p+0;
-      p_mean = 0x1.334a66adfb119p+4;
-      p_p50 = 0x1.22fa2be37a4p+4;
-      p_p99 = 0x1.11d4f24867d1p+5;
-      p_p999 = 0x1.542cb3b2595ep+5;
+      p_throughput = 0x1.39db22d0e5604p+0;
+      p_mean = 0x1.34274c38c0f24p+4;
+      p_p50 = 0x1.22f993797dbcp+4;
+      p_p99 = 0x1.10f8804f92d4p+5;
+      p_p999 = 0x1.5895f0336111p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.713dcb08d3dcbp-1;
-      p_ipis_sent = 5839;
-      p_local_events = 1035;
-      p_stolen_events = 2677;
-      p_remote_batches = 2670;
+      p_steal_fraction = 0x1.78d3dcb08d3ddp-1;
+      p_ipis_sent = 5809;
+      p_local_events = 980;
+      p_stolen_events = 2732;
+      p_remote_batches = 2723;
     };
     {
       p_system = Run.Zygos;
@@ -223,135 +228,135 @@ let paper_goldens =
       p_fixed = false;
       p_load = 0x1.3333333333333p-2;
       p_throughput = 0x1.07bf1e8e60807p+0;
-      p_mean = 0x1.a531a0cf7841cp+3;
-      p_p50 = 0x1.45939b3fd81cp+3;
-      p_p99 = 0x1.8b589abf2909p+5;
-      p_p999 = 0x1.1de65f01208ap+6;
+      p_mean = 0x1.a4718aac6fea5p+3;
+      p_p50 = 0x1.42d462b58bep+3;
+      p_p99 = 0x1.86e7a51c5bfep+5;
+      p_p999 = 0x1.16a4f16f27c8p+6;
       p_completed = 3120;
-      p_steal_fraction = 0x1.77cb7cb7cb7cbp-2;
-      p_ipis_sent = 3414;
-      p_local_events = 2370;
-      p_stolen_events = 1374;
-      p_remote_batches = 1371;
+      p_steal_fraction = 0x1.73b13b13b13b1p-2;
+      p_ipis_sent = 3383;
+      p_local_events = 2385;
+      p_stolen_events = 1359;
+      p_remote_batches = 1356;
     };
     {
       p_system = Run.Zygos;
       p_cores = 33;
       p_fixed = false;
       p_load = 0x1.999999999999ap-1;
-      p_throughput = 0x1.59eadd590c0aep+1;
-      p_mean = 0x1.a08960aace42ap+4;
-      p_p50 = 0x1.73619c0b69bcp+4;
-      p_p99 = 0x1.294a38df8071p+6;
-      p_p999 = 0x1.a1e9a1092d1ccp+6;
+      p_throughput = 0x1.59945b6c3760dp+1;
+      p_mean = 0x1.9e7a6f61f5d26p+4;
+      p_p50 = 0x1.6d2f53db31b8p+4;
+      p_p99 = 0x1.2933dce3d63bp+6;
+      p_p999 = 0x1.7f04ac621c54p+6;
       p_completed = 3120;
-      p_steal_fraction = 0x1.8532532532532p-1;
-      p_ipis_sent = 4934;
-      p_local_events = 898;
-      p_stolen_events = 2846;
-      p_remote_batches = 2795;
+      p_steal_fraction = 0x1.8578578578578p-1;
+      p_ipis_sent = 4865;
+      p_local_events = 896;
+      p_stolen_events = 2848;
+      p_remote_batches = 2794;
     };
     {
       p_system = Run.Zygos;
       p_cores = 33;
       p_fixed = true;
       p_load = 0x1.6666666666666p-1;
-      p_throughput = 0x1.2e7b0b3919264p+1;
-      p_mean = 0x1.079d47f15eb42p+4;
-      p_p50 = 0x1.fe6666666668p+3;
-      p_p99 = 0x1.b3ef55cc1ae2p+4;
-      p_p999 = 0x1.25df183b41a5p+5;
+      p_throughput = 0x1.2ead81adea897p+1;
+      p_mean = 0x1.066c0198bac7dp+4;
+      p_p50 = 0x1.fe5d46a3be38p+3;
+      p_p99 = 0x1.bfea70f40b3p+4;
+      p_p999 = 0x1.2b26726d87a5p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.a211a7b9611a8p-1;
-      p_ipis_sent = 7469;
-      p_local_events = 681;
-      p_stolen_events = 3031;
-      p_remote_batches = 3021;
+      p_steal_fraction = 0x1.9c69ee58469eep-1;
+      p_ipis_sent = 7502;
+      p_local_events = 722;
+      p_stolen_events = 2990;
+      p_remote_batches = 2981;
     };
     {
       p_system = Run.Zygos;
       p_cores = 33;
       p_fixed = true;
       p_load = 0x1.8p-1;
-      p_throughput = 0x1.45096bb98c7e3p+1;
-      p_mean = 0x1.210d6e479f462p+4;
-      p_p50 = 0x1.17ca0059f174p+4;
-      p_p99 = 0x1.def86e3d8622p+4;
-      p_p999 = 0x1.3c6a51853054p+5;
+      p_throughput = 0x1.443126e978d5p+1;
+      p_mean = 0x1.26f57a0058875p+4;
+      p_p50 = 0x1.1b84b0e09bbp+4;
+      p_p99 = 0x1.f8c86ad2d64cp+4;
+      p_p999 = 0x1.4c28148c6166p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.9c469ee58469fp-1;
-      p_ipis_sent = 6993;
-      p_local_events = 723;
-      p_stolen_events = 2989;
-      p_remote_batches = 2972;
+      p_steal_fraction = 0x1.a234f72c234f7p-1;
+      p_ipis_sent = 7108;
+      p_local_events = 680;
+      p_stolen_events = 3032;
+      p_remote_batches = 3016;
     };
     {
       p_system = Run.Zygos;
       p_cores = 64;
       p_fixed = false;
       p_load = 0x1.3333333333333p-2;
-      p_throughput = 0x1.ff04577d95571p+0;
-      p_mean = 0x1.a8e7178db418ap+3;
-      p_p50 = 0x1.49ad52a39d1p+3;
-      p_p99 = 0x1.9d2b5dfdebc2p+5;
-      p_p999 = 0x1.34a4f16f27c78p+6;
+      p_throughput = 0x1.feda661283904p+0;
+      p_mean = 0x1.ab2346409694p+3;
+      p_p50 = 0x1.4946841f98dp+3;
+      p_p99 = 0x1.9b91c4645228p+5;
+      p_p999 = 0x1.31fb4ddd36c7p+6;
       p_completed = 3120;
-      p_steal_fraction = 0x1.7483483483483p-2;
-      p_ipis_sent = 3603;
-      p_local_events = 2382;
-      p_stolen_events = 1362;
-      p_remote_batches = 1360;
+      p_steal_fraction = 0x1.7a87a87a87a88p-2;
+      p_ipis_sent = 3711;
+      p_local_events = 2360;
+      p_stolen_events = 1384;
+      p_remote_batches = 1382;
     };
     {
       p_system = Run.Zygos;
       p_cores = 64;
       p_fixed = false;
       p_load = 0x1.999999999999ap-1;
-      p_throughput = 0x1.4fa74ed597be4p+2;
-      p_mean = 0x1.811fead0100cbp+4;
-      p_p50 = 0x1.529ff6342a1ap+4;
-      p_p99 = 0x1.214b81b05d69cp+6;
-      p_p999 = 0x1.93754c08faefp+6;
+      p_throughput = 0x1.4fdf3b645a1cbp+2;
+      p_mean = 0x1.830b36a921042p+4;
+      p_p50 = 0x1.57d0fac8e6ecp+4;
+      p_p99 = 0x1.14bd6ae4a218cp+6;
+      p_p999 = 0x1.86f8c08265e34p+6;
       p_completed = 3120;
-      p_steal_fraction = 0x1.8d20d20d20d21p-1;
-      p_ipis_sent = 5815;
-      p_local_events = 840;
-      p_stolen_events = 2904;
-      p_remote_batches = 2818;
+      p_steal_fraction = 0x1.90d20d20d20d2p-1;
+      p_ipis_sent = 5756;
+      p_local_events = 813;
+      p_stolen_events = 2931;
+      p_remote_batches = 2856;
     };
     {
       p_system = Run.Zygos;
       p_cores = 64;
       p_fixed = true;
       p_load = 0x1.6666666666666p-1;
-      p_throughput = 0x1.261442f4b8ebbp+2;
-      p_mean = 0x1.06fe1cabcbbbap+4;
-      p_p50 = 0x1.fa9a8d12c818p+3;
-      p_p99 = 0x1.ca74222dd638p+4;
-      p_p999 = 0x1.446b4391ef6b8p+5;
+      p_throughput = 0x1.25fbcb7643e26p+2;
+      p_mean = 0x1.070a0217b2b93p+4;
+      p_p50 = 0x1.fa095e54a3a2p+3;
+      p_p99 = 0x1.d0b6a8f3487cp+4;
+      p_p999 = 0x1.5c445edf67fd8p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.abdcb08d3dcb1p-1;
-      p_ipis_sent = 8128;
-      p_local_events = 610;
-      p_stolen_events = 3102;
-      p_remote_batches = 3092;
+      p_steal_fraction = 0x1.ab9611a7b9612p-1;
+      p_ipis_sent = 8099;
+      p_local_events = 612;
+      p_stolen_events = 3100;
+      p_remote_batches = 3086;
     };
     {
       p_system = Run.Zygos;
       p_cores = 64;
       p_fixed = true;
       p_load = 0x1.8p-1;
-      p_throughput = 0x1.3bb2fec56d5dp+2;
-      p_mean = 0x1.241bfe1e32b1ep+4;
-      p_p50 = 0x1.1739b68479fap+4;
-      p_p99 = 0x1.07b366757053p+5;
-      p_p999 = 0x1.4de4282f8e11p+5;
+      p_throughput = 0x1.3c36113404ea5p+2;
+      p_mean = 0x1.2279b85fa112p+4;
+      p_p50 = 0x1.16498b9f8aa6p+4;
+      p_p99 = 0x1.07a38401fc89p+5;
+      p_p999 = 0x1.6535db7ea547p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.bcb08d3dcb08dp-1;
-      p_ipis_sent = 7669;
-      p_local_events = 488;
-      p_stolen_events = 3224;
-      p_remote_batches = 3183;
+      p_steal_fraction = 0x1.b469ee58469eep-1;
+      p_ipis_sent = 7690;
+      p_local_events = 548;
+      p_stolen_events = 3164;
+      p_remote_batches = 3130;
     };
     {
       p_system = Run.Zygos_no_interrupts;
@@ -375,51 +380,51 @@ let paper_goldens =
       p_cores = 16;
       p_fixed = false;
       p_load = 0x1.999999999999ap-1;
-      p_throughput = 0x1.4f6f6246d55fdp+0;
-      p_mean = 0x1.154e171a4b767p+5;
-      p_p50 = 0x1.e7f562efa238p+4;
-      p_p99 = 0x1.b010defa387cp+6;
-      p_p999 = 0x1.0d66f16bdae8p+7;
+      p_throughput = 0x1.4ec79c9a8e449p+0;
+      p_mean = 0x1.18c3acba50158p+5;
+      p_p50 = 0x1.e4a6fab86932p+4;
+      p_p99 = 0x1.cd0cc15e3726p+6;
+      p_p999 = 0x1.0c46f7fe8944p+7;
       p_completed = 3120;
-      p_steal_fraction = 0x1.0cb7cb7cb7cb8p-1;
+      p_steal_fraction = 0x1.08e38e38e38e4p-1;
       p_ipis_sent = 0;
-      p_local_events = 1779;
-      p_stolen_events = 1965;
-      p_remote_batches = 1920;
+      p_local_events = 1807;
+      p_stolen_events = 1937;
+      p_remote_batches = 1892;
     };
     {
       p_system = Run.Zygos_no_interrupts;
       p_cores = 16;
       p_fixed = true;
       p_load = 0x1.6666666666666p-1;
-      p_throughput = 0x1.245bdc107e441p+0;
-      p_mean = 0x1.2108a1f817c84p+4;
-      p_p50 = 0x1.15f51fd3eb6p+4;
-      p_p99 = 0x1.21c264768a34p+5;
-      p_p999 = 0x1.710a4ac7ac0cp+5;
+      p_throughput = 0x1.2474538ef34d6p+0;
+      p_mean = 0x1.21a513f9cf41bp+4;
+      p_p50 = 0x1.1563fc4bd4cp+4;
+      p_p99 = 0x1.235e026bbe46p+5;
+      p_p999 = 0x1.57d447cfebd8p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.611a7b9611a7cp-2;
+      p_steal_fraction = 0x1.688d3dcb08d3ep-2;
       p_ipis_sent = 0;
-      p_local_events = 2432;
-      p_stolen_events = 1280;
-      p_remote_batches = 1271;
+      p_local_events = 2405;
+      p_stolen_events = 1307;
+      p_remote_batches = 1299;
     };
     {
       p_system = Run.Zygos_no_interrupts;
       p_cores = 16;
       p_fixed = true;
       p_load = 0x1.8p-1;
-      p_throughput = 0x1.3a5e353f7ced9p+0;
-      p_mean = 0x1.43a3de0065ffdp+4;
-      p_p50 = 0x1.31a44ed9963ap+4;
-      p_p99 = 0x1.690eeff5e69cp+5;
-      p_p999 = 0x1.b3be256af6bp+5;
+      p_throughput = 0x1.3972474538ef3p+0;
+      p_mean = 0x1.3cab3ad521694p+4;
+      p_p50 = 0x1.2c7c743762d8p+4;
+      p_p99 = 0x1.620cfe3e01ep+5;
+      p_p999 = 0x1.b7eb41cf3644p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.abdcb08d3dcb1p-2;
+      p_steal_fraction = 0x1.9d8469ee5846ap-2;
       p_ipis_sent = 0;
-      p_local_events = 2161;
-      p_stolen_events = 1551;
-      p_remote_batches = 1535;
+      p_local_events = 2213;
+      p_stolen_events = 1499;
+      p_remote_batches = 1485;
     };
     {
       p_system = Run.Zygos_no_interrupts;
@@ -443,33 +448,33 @@ let paper_goldens =
       p_cores = 33;
       p_fixed = false;
       p_load = 0x1.999999999999ap-1;
-      p_throughput = 0x1.59b13165d3998p+1;
-      p_mean = 0x1.fb55427b40d59p+4;
-      p_p50 = 0x1.b4208ff09e2dp+4;
-      p_p99 = 0x1.9e58026acadb8p+6;
-      p_p999 = 0x1.08951d8a0474p+7;
+      p_throughput = 0x1.59ce075f6fd23p+1;
+      p_mean = 0x1.f5c5760072acdp+4;
+      p_p50 = 0x1.bccfff4151cep+4;
+      p_p99 = 0x1.7175d46b199bp+6;
+      p_p999 = 0x1.cc8fe1810134p+6;
       p_completed = 3120;
-      p_steal_fraction = 0x1.071c71c71c71cp-1;
+      p_steal_fraction = 0x1.0578578578578p-1;
       p_ipis_sent = 0;
-      p_local_events = 1820;
-      p_stolen_events = 1924;
-      p_remote_batches = 1867;
+      p_local_events = 1832;
+      p_stolen_events = 1912;
+      p_remote_batches = 1841;
     };
     {
       p_system = Run.Zygos_no_interrupts;
       p_cores = 33;
       p_fixed = true;
       p_load = 0x1.6666666666666p-1;
-      p_throughput = 0x1.2e94467381d7dp+1;
-      p_mean = 0x1.27b4ee6c6e949p+4;
-      p_p50 = 0x1.1dbbccc81edep+4;
-      p_p99 = 0x1.25efc257c95dp+5;
-      p_p999 = 0x1.62329f39f7ecp+5;
+      p_throughput = 0x1.2ec6bce8533b1p+1;
+      p_mean = 0x1.26a74dfb09badp+4;
+      p_p50 = 0x1.1af120719ebp+4;
+      p_p99 = 0x1.230d011d99d4p+5;
+      p_p999 = 0x1.6f01668bab32p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.76e58469ee584p-2;
+      p_steal_fraction = 0x1.78d3dcb08d3ddp-2;
       p_ipis_sent = 0;
-      p_local_events = 2353;
-      p_stolen_events = 1359;
+      p_local_events = 2346;
+      p_stolen_events = 1366;
       p_remote_batches = 1347;
     };
     {
@@ -477,16 +482,16 @@ let paper_goldens =
       p_cores = 33;
       p_fixed = true;
       p_load = 0x1.8p-1;
-      p_throughput = 0x1.4467381d7dbf5p+1;
-      p_mean = 0x1.40befe60166a9p+4;
-      p_p50 = 0x1.32ba720c3831p+4;
-      p_p99 = 0x1.4c2503c44b94p+5;
-      p_p999 = 0x1.dd85cac7680ep+5;
+      p_throughput = 0x1.43e00d1b71759p+1;
+      p_mean = 0x1.3c004923864b5p+4;
+      p_p50 = 0x1.2def95b2972cp+4;
+      p_p99 = 0x1.43c34753fccep+5;
+      p_p999 = 0x1.902f59ea7b1fp+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.ab4f72c234f73p-2;
+      p_steal_fraction = 0x1.aa7b9611a7b96p-2;
       p_ipis_sent = 0;
-      p_local_events = 2163;
-      p_stolen_events = 1549;
+      p_local_events = 2166;
+      p_stolen_events = 1546;
       p_remote_batches = 1530;
     };
     {
@@ -495,7 +500,7 @@ let paper_goldens =
       p_fixed = false;
       p_load = 0x1.3333333333333p-2;
       p_throughput = 0x1.fe86833c6002ap+0;
-      p_mean = 0x1.046d19210190ep+4;
+      p_mean = 0x1.046dfd8c8fbc6p+4;
       p_p50 = 0x1.8ab871357398p+3;
       p_p99 = 0x1.fa19a19533f2p+5;
       p_p999 = 0x1.593ac4ba61ebp+6;
@@ -511,34 +516,34 @@ let paper_goldens =
       p_cores = 64;
       p_fixed = false;
       p_load = 0x1.999999999999ap-1;
-      p_throughput = 0x1.4f1b7f70b1d23p+2;
-      p_mean = 0x1.f558e3b5dded2p+4;
-      p_p50 = 0x1.b7323550db3p+4;
-      p_p99 = 0x1.89a5fb2568704p+6;
-      p_p999 = 0x1.071acfdc232dap+7;
+      p_throughput = 0x1.501727f31c7b2p+2;
+      p_mean = 0x1.e362b9373668cp+4;
+      p_p50 = 0x1.a45a1e03d79ep+4;
+      p_p99 = 0x1.6728cc860513cp+6;
+      p_p999 = 0x1.cadb57b7a852p+6;
       p_completed = 3120;
-      p_steal_fraction = 0x1.e4a64a64a64a6p-2;
+      p_steal_fraction = 0x1.d66d66d66d66dp-2;
       p_ipis_sent = 0;
-      p_local_events = 1972;
-      p_stolen_events = 1772;
-      p_remote_batches = 1665;
+      p_local_events = 2024;
+      p_stolen_events = 1720;
+      p_remote_batches = 1617;
     };
     {
       p_system = Run.Zygos_no_interrupts;
       p_cores = 64;
       p_fixed = true;
       p_load = 0x1.6666666666666p-1;
-      p_throughput = 0x1.2599ed7c6fbd2p+2;
-      p_mean = 0x1.2cbec9c193585p+4;
-      p_p50 = 0x1.1dac3255cc54p+4;
-      p_p99 = 0x1.448e5b9f5d7ap+5;
-      p_p999 = 0x1.98a9946f5cf1p+5;
+      p_throughput = 0x1.25b264fae4c67p+2;
+      p_mean = 0x1.3146569d70819p+4;
+      p_p50 = 0x1.227f46dc2e4p+4;
+      p_p99 = 0x1.4e519f87b2c08p+5;
+      p_p999 = 0x1.c8b872eff341p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.5c69ee58469eep-2;
+      p_steal_fraction = 0x1.5f2c234f72c23p-2;
       p_ipis_sent = 0;
-      p_local_events = 2449;
-      p_stolen_events = 1263;
-      p_remote_batches = 1239;
+      p_local_events = 2439;
+      p_stolen_events = 1273;
+      p_remote_batches = 1242;
     };
     {
       p_system = Run.Zygos_no_interrupts;
@@ -546,16 +551,16 @@ let paper_goldens =
       p_fixed = true;
       p_load = 0x1.8p-1;
       p_throughput = 0x1.39db22d0e5604p+2;
-      p_mean = 0x1.3f495e3bb07f3p+4;
-      p_p50 = 0x1.2f1774ae6176p+4;
-      p_p99 = 0x1.4fae3a2f91a38p+5;
-      p_p999 = 0x1.a1bd569796a68p+5;
+      p_mean = 0x1.41dde6954eb17p+4;
+      p_p50 = 0x1.2d5befa7e0cap+4;
+      p_p99 = 0x1.5a7be0cc884p+5;
+      p_p999 = 0x1.aba36506fe4p+5;
       p_completed = 3059;
-      p_steal_fraction = 0x1.92c234f72c235p-2;
+      p_steal_fraction = 0x1.90469ee58469fp-2;
       p_ipis_sent = 0;
-      p_local_events = 2252;
-      p_stolen_events = 1460;
-      p_remote_batches = 1416;
+      p_local_events = 2261;
+      p_stolen_events = 1451;
+      p_remote_batches = 1404;
     };
   ]
 

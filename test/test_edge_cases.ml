@@ -278,6 +278,20 @@ let test_queueing_bimodal2_partitioned_pathological () =
 
 (* ---- runtime ---- *)
 
+(* ---- systems ---- *)
+
+(* ZygOS's IPI-rx event carries the core id in 16 bits; a larger core
+   count would deliver packets to the wrong core, so it is refused. *)
+let test_params_core_limit () =
+  let module P = Systems.Params in
+  Alcotest.(check int) "65535 cores accepted" 0xffff (P.default ~cores:0xffff ()).P.cores;
+  Alcotest.check_raises "65536 cores rejected"
+    (Invalid_argument "Params: cores = 65536 > 65535") (fun () ->
+      ignore (P.default ~cores:0x10000 () : P.t));
+  Alcotest.check_raises "validate rejects a widened record"
+    (Invalid_argument "Params: cores = 100000 > 65535") (fun () ->
+      ignore (P.validate { (P.default ()) with P.cores = 100_000 } : P.t))
+
 let test_executor_many_conns_few_cores () =
   let exec = Runtime.Executor.create ~cores:2 ~conns:100 () in
   Runtime.Executor.start exec;
@@ -337,6 +351,7 @@ let () =
           Alcotest.test_case "bimodal-2 pathology" `Slow
             test_queueing_bimodal2_partitioned_pathological;
         ] );
+      ("systems", [ Alcotest.test_case "params core limit" `Quick test_params_core_limit ]);
       ( "runtime",
         [ Alcotest.test_case "many conns few cores" `Quick test_executor_many_conns_few_cores ]
       );

@@ -74,34 +74,6 @@ let test_rng_bernoulli () =
   let p = float_of_int !hits /. float_of_int n in
   if abs_float (p -. 0.3) > 0.01 then Alcotest.failf "bernoulli(0.3) off: %g" p
 
-let prop_shuffle_is_permutation =
-  QCheck.Test.make ~name:"shuffle preserves multiset" ~count:200
-    QCheck.(pair small_int (list small_int))
-    (fun (seed, xs) ->
-      let rng = Rng.create ~seed in
-      let a = Array.of_list xs in
-      Rng.shuffle_in_place rng a;
-      List.sort compare (Array.to_list a) = List.sort compare xs)
-
-(* The shuffle is a draw-for-draw Fisher–Yates: on a copy of the same
-   state, the generic loop over [Rng.int r (i + 1)] yields the same
-   permutation and leaves the generator at the same point. *)
-let prop_shuffle_draw_identity =
-  QCheck.Test.make ~name:"shuffle = reference Fisher-Yates over Rng.int" ~count:300
-    QCheck.(pair int (int_bound 70))
-    (fun (seed, n) ->
-      let rng = Rng.create ~seed in
-      let ref_rng = Rng.copy rng in
-      let a = Array.init n (fun i -> i) and b = Array.init n (fun i -> i) in
-      Rng.shuffle_in_place rng a;
-      for i = n - 1 downto 1 do
-        let j = Rng.int ref_rng (i + 1) in
-        let tmp = b.(i) in
-        b.(i) <- b.(j);
-        b.(j) <- tmp
-      done;
-      a = b && Int64.equal (Rng.next_int64 rng) (Rng.next_int64 ref_rng))
-
 (* ---- Dist ---- *)
 
 let test_dist_means () =
@@ -428,8 +400,6 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
-          QCheck_alcotest.to_alcotest prop_shuffle_is_permutation;
-          QCheck_alcotest.to_alcotest prop_shuffle_draw_identity;
         ] );
       ( "dist",
         [

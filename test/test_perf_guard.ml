@@ -111,21 +111,54 @@ let test_request_path_minor_words () =
     Alcotest.failf "request path allocates %.1f minor words/request (want <= %g)" per_req
       request_path_words_bound
 
-(* The steal-victim shuffle runs on every idle-loop poll; at 64 cores it
-   permutes 63 victims, and must allocate nothing doing it. *)
-let test_shuffle_minor_words () =
-  let rng = Engine.Rng.create ~seed:5 in
-  let a = Array.init 63 (fun i -> i) in
-  Engine.Rng.shuffle_in_place rng a;
-  let shuffles = 10_000 in
+(* A steal or IPI walk draws one victim per step; at 64 cores a full
+   walk takes 63 steps, and must allocate nothing doing it. *)
+let test_walk_minor_words () =
+  let p = Core.Steal_policy.create ~rng:(Engine.Rng.create ~seed:5) ~cores:64 ~self:0 in
+  let walk () =
+    for k = 0 to Core.Steal_policy.victims p - 1 do
+      ignore (Core.Steal_policy.random_victim p k : int)
+    done
+  in
+  walk ();
+  let walks = 10_000 in
   let w0 = Gc.minor_words () in
-  for _ = 1 to shuffles do
-    Engine.Rng.shuffle_in_place rng a
+  for _ = 1 to walks do
+    walk ()
   done;
   let words = Gc.minor_words () -. w0 in
   if words > 0. then
-    Alcotest.failf "%d shuffles of 63 elements allocated %g minor words (want 0)" shuffles
-      words
+    Alcotest.failf "%d walks of 63 steps allocated %g minor words (want 0)" walks words
+
+(* The ZygOS idle loop must cost engine events in proportion to the work
+   there is, not to the core count: at the paper's 2752 connections and
+   load 0.3, where most cores are idle most of the time, each completed
+   request may fire at most [events_per_req_bound] events, and 64 cores
+   may cost at most [events_core_ratio_bound] times what 16 cost. An
+   idle loop that schedules one wake event per idle core per packet
+   fires ~24 events per request here at 16 cores and ~59 at 64. *)
+let events_per_req_bound = 10.
+
+let events_core_ratio_bound = 1.2
+
+let test_zygos_events_per_request () =
+  let per_req cores =
+    let cfg =
+      Experiments.Run.config ~cores ~conns:2752 ~requests:6_000 ~seed:1
+        ~system:Experiments.Run.Zygos ~service:(Engine.Dist.exponential 10.) ()
+    in
+    let p = Experiments.Run.run_point cfg ~load:0.3 in
+    let fired = Option.value ~default:0. (Experiments.Run.info_value p "sim_events_fired") in
+    let r = fired /. float_of_int p.Experiments.Run.completed in
+    if r > events_per_req_bound then
+      Alcotest.failf "zygos %d cores fires %.2f events/request (want <= %g)" cores r
+        events_per_req_bound;
+    r
+  in
+  let r16 = per_req 16 and r64 = per_req 64 in
+  if r64 /. r16 > events_core_ratio_bound then
+    Alcotest.failf "64 cores fire %.2fx the events/request of 16 (%.2f vs %.2f; want <= %g)"
+      (r64 /. r16) r64 r16 events_core_ratio_bound
 
 let test_end_to_end_reuse_ratio () =
   (* The same invariant through the full stack: a ZygOS point's event
@@ -153,8 +186,9 @@ let () =
           Alcotest.test_case "deep schedule_fn minor words/event = 0" `Quick
             test_fn_deep_minor_words;
           Alcotest.test_case "event-pool reuse ratio ~ 1" `Quick test_pool_reuse_ratio;
-          Alcotest.test_case "63-element shuffle minor words = 0" `Quick
-            test_shuffle_minor_words;
+          Alcotest.test_case "63-step walk minor words = 0" `Quick test_walk_minor_words;
+          Alcotest.test_case "zygos events/request bounded, flat in cores" `Quick
+            test_zygos_events_per_request;
           Alcotest.test_case "zygos point reuse ratio >= 0.9" `Quick
             test_end_to_end_reuse_ratio;
           Alcotest.test_case "request path minor words/request bounded" `Quick

@@ -275,6 +275,58 @@ let test_bitmap_word_boundaries () =
         [ true; false ])
     [ 1; 2; 31; 32; 33; 63; 64; 65 ]
 
+(* Distribution oracle for the idle loop's victim order. A steal walk
+   draws victims one at a time and stops at the first claim; the loop
+   it replaced drew a full permutation per poll. Both visit a uniformly
+   random sequence of distinct victims, so the model's distribution is
+   the same while each seed's realization differs. The constants are the
+   mean and standard error, over seeds 1..8, of p99 and steal_fraction
+   at 16 cores, 2752 conns, 20k requests, exp(10µs) service; they were
+   captured from the full-permutation idle loop (commit 0fb07d2). The
+   walk must match each mean within 3 standard errors of the
+   difference, sqrt(se_old^2 + se_new^2). *)
+let oracle =
+  [
+    (* load, (p99 mean, se), (steal_fraction mean, se) *)
+    (0.3, (51.5909, 0.3334), (0.328733, 0.001805));
+    (0.8, (101.2701, 6.0877), (0.719022, 0.004443));
+  ]
+
+let mean_se xs =
+  let n = float_of_int (List.length xs) in
+  let m = List.fold_left ( +. ) 0. xs /. n in
+  let var = List.fold_left (fun a x -> a +. ((x -. m) ** 2.)) 0. xs /. (n -. 1.) in
+  (m, sqrt (var /. n))
+
+let test_walk_distribution_oracle () =
+  let module Run = Experiments.Run in
+  List.iter
+    (fun (load, (p99_old, p99_se_old), (sf_old, sf_se_old)) ->
+      let points =
+        List.init 8 (fun i ->
+            let cfg =
+              Run.config ~cores:16 ~conns:2752 ~requests:20_000 ~seed:(i + 1)
+                ~system:Run.Zygos ~service:(Engine.Dist.exponential 10.) ()
+            in
+            Run.run_point cfg ~load)
+      in
+      let check name (old_mean, old_se) xs =
+        let m, se = mean_se xs in
+        let tol = 3. *. sqrt ((old_se *. old_se) +. (se *. se)) in
+        if Float.abs (m -. old_mean) > tol then
+          Alcotest.failf "load %g %s: mean %g, oracle %g (tolerance %g)" load name m old_mean
+            tol
+      in
+      check "p99" (p99_old, p99_se_old) (List.map (fun (p : Run.point) -> p.Run.p99) points);
+      check "steal_fraction" (sf_old, sf_se_old)
+        (List.map
+           (fun p ->
+             match Run.info_value p "steal_fraction" with
+             | Some v -> v
+             | None -> Alcotest.fail "no steal_fraction counter")
+           points))
+    oracle
+
 let () =
   Alcotest.run "zygos-model"
     [
@@ -295,5 +347,7 @@ let () =
           Alcotest.test_case "trace consistency" `Quick test_trace_consistency;
           Alcotest.test_case "bitmap word boundaries (1..65 cores)" `Quick
             test_bitmap_word_boundaries;
+          Alcotest.test_case "walk matches full-permutation distribution" `Slow
+            test_walk_distribution_oracle;
         ] );
     ]
