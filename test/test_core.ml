@@ -197,6 +197,20 @@ let test_policy_permutation () =
     Alcotest.(check (list int)) "permutation of others" [ 0; 1; 2; 4; 5; 6; 7 ] sorted
   done
 
+(* Whatever partial walks came before, a full walk visits the other
+   cores exactly once each: the victim array stays a permutation of
+   them across walks that stop early. *)
+let prop_walk_multiset =
+  QCheck.Test.make ~name:"walk preserves multiset" ~count:200
+    QCheck.(triple int (int_range 2 70) (small_list small_nat))
+    (fun (seed, cores, partial) ->
+      let self = seed land max_int mod cores in
+      let p = Policy.create ~rng:(Engine.Rng.create ~seed) ~cores ~self in
+      let n = Policy.victims p in
+      List.iter (fun k -> ignore (List.init (k mod (n + 1)) (Policy.random_victim p))) partial;
+      List.sort compare (Array.to_list (full_walk p))
+      = List.init n (fun i -> if i < self then i else i + 1))
+
 let test_policy_round_robin () =
   let rng = Engine.Rng.create ~seed:3 in
   let p = Policy.create ~rng ~cores:4 ~self:2 in
@@ -368,6 +382,7 @@ let () =
           Alcotest.test_case "randomizes" `Quick test_policy_randomizes;
           Alcotest.test_case "validation" `Quick test_policy_validation;
           QCheck_alcotest.to_alcotest prop_walk_draws;
+          QCheck_alcotest.to_alcotest prop_walk_multiset;
           Alcotest.test_case "walk victims uniform (chi-square)" `Quick test_walk_uniform;
         ] );
       ("remote-queue", [ Alcotest.test_case "fifo" `Quick test_remote_queue_fifo ]);
