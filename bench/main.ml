@@ -230,9 +230,8 @@ let micro_tests () =
     let pcb = S.register sched ~conn:0 ~home:0 in
     one "core: shuffle deliver+dispatch+complete" (fun () ->
         S.deliver sched pcb ();
-        match S.next_local sched ~core:0 with
-        | Some (p, _, _) -> S.complete sched p
-        | None -> assert false)
+        if not (S.poll_local sched ~core:0) then assert false;
+        S.complete sched (S.batch_pcb sched ~core:0))
   in
   let victim_walk_bench cores =
     (* A full victim walk of the cores-1 other cores, one draw per step:

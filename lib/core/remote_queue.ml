@@ -9,10 +9,12 @@ module Make (L : Platform.LOCK) = struct
     t.pushed <- t.pushed + 1;
     L.unlock t.lock
 
-  (* The empty case is the hot one: ZygOS cores probe their remote queue
-     on every scheduler step, and stolen batches are comparatively rare.
-     Probe without touching the lock — [Queue.is_empty] is one field
-     read, and a racing push is caught by the caller's next probe. *)
+  (* The empty case is the hot one: a ZygOS core drains its remote queue
+     first in each scheduler step it runs, and stolen batches are
+     comparatively rare. (Idle cores with nothing to do skip the step on
+     an [is_empty] check instead.) Probe without touching the lock —
+     [Queue.is_empty] is one field read, and a racing push is caught by
+     the caller's next probe. *)
   let drain t =
     if Queue.is_empty t.items then []
     else begin

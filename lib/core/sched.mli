@@ -24,11 +24,6 @@
 module type S = sig
   type lock
 
-  (** Where a dispatched batch came from. *)
-  type source =
-    | Local  (** dequeued by the connection's home core *)
-    | Stolen of int  (** stolen; the int is the victim (home) core *)
-
   type state = Idle | Ready | Busy  (** Figure 5's connection states *)
 
   type 'ev pcb
@@ -60,33 +55,20 @@ module type S = sig
       becomes [Ready] and is enqueued on its home core's shuffle queue; a
       [Ready] or [Busy] connection just accumulates the event. *)
 
-  val next : 'ev t -> core:int -> steal_order:int array -> ('ev pcb * 'ev list * source) option
-  (** Dispatch for [core]: first try its own shuffle queue, then attempt to
-      steal from the queues in [steal_order] (each guarded by a try-lock,
-      §5). On success the PCB transitions [Ready -> Busy] and the whole
-      batch of its pending events is drained and returned; the caller now
-      holds exclusive access to the connection until it calls
-      {!complete}. Returns [None] when every queue is empty (the core is
-      idle). *)
+  (** {2 Dispatch}
 
-  val next_local : 'ev t -> core:int -> ('ev pcb * 'ev list * source) option
-  (** Like {!next} with an empty steal order — dispatch only from the
-      core's own queue. *)
-
-  (** {2 Zero-allocation dispatch}
-
-      The allocation-free face of {!next}: a successful {!poll},
-      {!poll_local} or {!steal_from} claims the batch into per-core
-      scratch storage (one flat array walk, no list cons per event, no
-      [option]/[source] allocation), read back through the accessors
-      below. The scratch is valid until the same core's next claim;
-      consume it first. {!next} and {!next_local} are list-building
-      wrappers over the same claim, so counters behave identically
-      whichever face is used. *)
+      A successful {!poll}, {!poll_local} or {!steal_from} claims a batch
+      for [core]: the PCB transitions [Ready -> Busy] and the whole batch
+      of its pending events is drained into per-core scratch storage (one
+      flat array walk, no list cons per event, nothing allocated), read
+      back through the accessors below. The caller holds exclusive access
+      to the connection until it calls {!complete}. The scratch is valid
+      until the same core's next claim; consume it first. *)
 
   val poll : 'ev t -> core:int -> steal_order:int array -> bool
-  (** Claim the next batch for [core] (own queue first, then steal in
-      [steal_order] under try-locks). [false] = every queue empty. *)
+  (** Claim the next batch for [core]: its own queue first, then steal
+      from the queues in [steal_order], each guarded by a try-lock (§5).
+      [false] = every queue empty (the core is idle). *)
 
   val poll_local : 'ev t -> core:int -> bool
   (** {!poll} with an empty steal order: [core]'s own queue only. *)

@@ -72,6 +72,9 @@ type t = {
   (* mode bitmaps: core [id] is bit [id land 31] of word [id lsr 5] *)
   idle_bits : int array;
   user_bits : int array;
+  (* same layout: the core has packets in its ring or remote batches
+     queued, and no IPI on its way (see [refresh_stuck]) *)
+  stuck_bits : int array;
   respond : Request.t -> unit;
   trace : (float -> trace_event -> unit) option;
   mutable ipis_sent : int;
@@ -95,13 +98,13 @@ type t = {
 
 (* ---- mode bitmaps ---- *)
 
-(* The lowest set bit at or above [from], or -1. *)
-let[@zygos.hot] rec next_bit bits from =
+(* The lowest bit at or above [from] set in both [a] and [b], or -1. *)
+let[@zygos.hot] rec next_bit a b from =
   let w = from lsr 5 in
-  if w >= Array.length bits then -1
+  if w >= Array.length a then -1
   else
-    let m = bits.(w) land (-1 lsl (from land 31)) in
-    if m = 0 then next_bit bits ((w + 1) lsl 5) else (w lsl 5) lor Engine.Wheel.ctz m
+    let m = a.(w) land b.(w) land (-1 lsl (from land 31)) in
+    if m = 0 then next_bit a b ((w + 1) lsl 5) else (w lsl 5) lor Engine.Wheel.ctz m
 
 let[@zygos.hot] flip_mode_bit t c =
   let w = c.id lsr 5 and bit = 1 lsl (c.id land 31) in
@@ -115,6 +118,24 @@ let[@zygos.hot] set_mode t c mode =
   flip_mode_bit t c;
   c.mode <- mode;
   flip_mode_bit t c
+
+(* ---- stuck bitmap ----
+
+   Core [v]'s stuck bit is set exactly when its ring or its remote queue
+   is non-empty and no IPI is pending for it. Every IPI candidate is a
+   user-mode core with its stuck bit set, so the idle loop only looks at
+   [stuck_bits land user_bits]. The bit is recomputed where one of its
+   inputs changes: a ring push ([submit]) or pop ([deliver_batch]), a
+   remote-queue push ([end_of_batch]) or drain, and an IPI sent or
+   delivered. A mode change does not touch it. *)
+
+let[@zygos.hot] stuck v =
+  ((not (Net.Ring.is_empty v.hw)) || not (RQ.is_empty v.remote)) && not v.ipi_pending
+
+let[@zygos.hot] refresh_stuck t v =
+  let w = v.id lsr 5 and bit = 1 lsl (v.id land 31) in
+  if stuck v then t.stuck_bits.(w) <- t.stuck_bits.(w) lor bit
+  else t.stuck_bits.(w) <- t.stuck_bits.(w) land lnot bit
 
 (* ---- timed segments ----
 
@@ -200,7 +221,7 @@ and schedule_wake t head ~delay =
 and wake_idlers t ~delay =
   (* ascending core order, the order the chain steps them in *)
   (let head = ref (-1) and tail = ref (-1) in
-   let i = ref (next_bit t.idle_bits 0) in
+   let i = ref (next_bit t.idle_bits t.idle_bits 0) in
    while !i >= 0 do
      let c = t.zcores.(!i) in
      assert (c.mode = Midle);
@@ -210,7 +231,7 @@ and wake_idlers t ~delay =
        if !tail < 0 then head := !i else t.zcores.(!tail).wake_next <- !i;
        tail := !i
      end;
-     i := next_bit t.idle_bits (!i + 1)
+     i := next_bit t.idle_bits t.idle_bits (!i + 1)
    done;
    if !head >= 0 then schedule_wake t !head ~delay)
 [@@zygos.hot]
@@ -220,6 +241,7 @@ and wake_idlers t ~delay =
 and send_ipi t ~src v =
   (if not v.ipi_pending then begin
      v.ipi_pending <- true;
+     refresh_stuck t v;
      t.ipis_sent <- t.ipis_sent + 1;
      if tracing t then (emit_trace t (Ipi { src; dst = v.id }) [@zygos.allow "hot-alloc"]);
      Array.unsafe_set t.kbuf 0 (Array.unsafe_get t.clk 0 +. t.p.zy_ipi_latency);
@@ -230,7 +252,7 @@ and send_ipi t ~src v =
 
 and deliver_ipi t v =
   v.ipi_pending <- false;
-  match v.mode with
+  (match v.mode with
   | Midle ->
       (* Nothing to interrupt; treat as a wakeup hint. *)
       wake t v ~delay:0.
@@ -266,7 +288,8 @@ and deliver_ipi t v =
         end;
         let tx_end = transmit_batches t ~home:v.id ~from:after_rx batches in
         extend_segment t v ~extra:(tx_end -. Array.unsafe_get t.clk 0)
-      end
+      end);
+  refresh_stuck t v
 
 (* ---- kernel helpers ---- *)
 
@@ -342,6 +365,7 @@ and try_drain_remote t c =
   match (RQ.drain c.remote [@zygos.allow "r6"]) with
   | [] -> false
   | batches ->
+      refresh_stuck t c;
       let finish_at = transmit_batches t ~home:c.id ~from:(Array.unsafe_get t.clk 0) batches in
       start_segment t c ~mode:Mkernel ~cost:(finish_at -. Array.unsafe_get t.clk 0) ~finish:t.fn_step;
       true
@@ -428,6 +452,7 @@ and end_of_batch t c =
      in
      (RQ.push home.remote ({ pcb; reqs } [@zygos.allow "hot-alloc"])
      [@zygos.allow "r6"]);
+     refresh_stuck t home;
      t.remote_batches <- t.remote_batches + 1;
      (match home.mode with
      | Midle -> wake t home ~delay:0.
@@ -463,11 +488,14 @@ and go_idle t c =
    queues; when a busy-at-user core has packets but an empty shuffle
    queue, interrupt it so it replenishes the shuffle queue for stealing.
 
-   [send_ipi] changes no other core's candidacy, so a single candidate
-   needs no order, and two or more are interrupted in victim-walk order,
-   the walk ending at the last of them. *)
+   Candidates are gathered from [stuck_bits land user_bits], each
+   confirmed with [ipi_candidate]. [send_ipi] changes no other core's
+   candidacy, so a single candidate needs no order, and two or more are
+   interrupted in victim-walk order, the walk ending at the last of
+   them. *)
 and scan_and_ipi t c =
-  (let first = next_candidate t 0 in
+  (if tracing t then check_stuck t;
+   let first = next_candidate t 0 in
    if first >= 0 then begin
      let n = count_candidates t (first + 1) 1 in
      if n = 1 then send_ipi t ~src:c.id t.zcores.(first) else ipi_walk t c 0 n
@@ -491,7 +519,7 @@ and ipi_walk t c k left =
 [@@zygos.hot]
 
 and next_candidate t from =
-  (let vid = next_bit t.user_bits from in
+  (let vid = next_bit t.stuck_bits t.user_bits from in
    if vid < 0 || ipi_candidate t t.zcores.(vid) then vid else next_candidate t (vid + 1))
 [@@zygos.hot]
 
@@ -502,13 +530,37 @@ and ipi_candidate t v =
      || not (RQ.is_empty v.remote))
 [@@zygos.hot]
 
+(* Whether [step] on the idle core [c] would act. When it would not, the
+   step would end in [go_idle] on an already idle core: nothing ready to
+   dispatch or steal, so no victim draw and no work-conservation count,
+   and a scan with no stuck user-level core finds no candidate. *)
+and idle_step_acts t c =
+  Sched.has_ready t.sched
+  || (not (Net.Ring.is_empty c.hw))
+  || (not (RQ.is_empty c.remote))
+  || (t.p.zy_interrupts && next_bit t.stuck_bits t.user_bits 0 >= 0)
+[@@zygos.hot]
+
+(* Full recount, run only under a trace hook (O(cores) per call): every
+   stuck bit matches its definition, and every IPI candidate is in
+   [stuck_bits land user_bits]. *)
+and check_stuck t =
+  (for id = 0 to Array.length t.zcores - 1 do
+     let v = t.zcores.(id) and w = id lsr 5 and bit = 1 lsl (id land 31) in
+     let set = t.stuck_bits.(w) land bit <> 0 in
+     assert (if stuck v then set else not set);
+     assert ((not (ipi_candidate t v)) || t.stuck_bits.(w) land t.user_bits.(w) land bit <> 0)
+   done)
+[@@zygos.hot]
+
 (* Deliver the first [n] requests of a core's rx scratch to the
    scheduler: one flat array walk, request by request in arrival order. *)
 let[@zygos.hot] deliver_batch t v n =
   for i = 0 to n - 1 do
     let req = Array.unsafe_get v.rxbuf i in
     Sched.deliver t.sched t.pcbs.(Request.conn t.pool req) req
-  done
+  done;
+  refresh_stuck t v
 
 let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
   let p = Params.validate p in
@@ -553,6 +605,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
       zcores;
       idle_bits = Array.make ((p.cores + 31) / 32) 0;
       user_bits = Array.make ((p.cores + 31) / 32) 0;
+      stuck_bits = Array.make ((p.cores + 31) / 32) 0;
       respond;
       trace;
       ipis_sent = 0;
@@ -583,7 +636,8 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
         let c = t.zcores.(!id) in
         id := c.wake_next;
         c.wake_scheduled <- false;
-        if c.mode = Midle && c.cur_handle = Sim.no_handle then step t c
+        if c.mode = Midle && c.cur_handle = Sim.no_handle then
+          if idle_step_acts t c then step t c else if tracing t then check_stuck t
       done) [@zygos.hot];
   t.fn_ipi <- (fun id -> deliver_ipi t t.zcores.(id)) [@zygos.hot];
   t.fn_ipi_rx <-
@@ -633,6 +687,7 @@ let create sim (p : Params.t) ~rng ~pool ~conns ~respond ?trace () =
   let[@zygos.hot] submit req =
     let c = t.zcores.(Sched.home t.pcbs.(Request.conn pool req)) in
     if Net.Ring.push c.hw req then begin
+      refresh_stuck t c;
       match c.mode with
       | Midle -> wake t c ~delay:p.dp_loop
       | Muser ->

@@ -15,6 +15,13 @@ let mk ?(cores = 4) ?(conns = 8) () =
   let pcbs = Array.init conns (fun c -> S.register sched ~conn:c ~home:(c mod cores)) in
   (sched, pcbs)
 
+(* The batch [core]'s last successful claim parked in its scratch:
+   (pcb, events in arrival order, victim core or -1 if local). *)
+let claimed sched ~core =
+  ( S.batch_pcb sched ~core,
+    List.init (S.batch_size sched ~core) (S.batch_event sched ~core),
+    S.batch_stolen_from sched ~core )
+
 let test_deliver_makes_ready () =
   let sched, pcbs = mk () in
   Alcotest.(check bool) "idle initially" true (S.state pcbs.(0) = S.Idle);
@@ -29,35 +36,36 @@ let test_dispatch_batches () =
   let sched, pcbs = mk () in
   S.deliver sched pcbs.(0) "a";
   S.deliver sched pcbs.(0) "b";
-  (match S.next_local sched ~core:0 with
-  | Some (pcb, batch, S.Local) ->
+  if not (S.poll_local sched ~core:0) then Alcotest.fail "expected local dispatch";
+  (match claimed sched ~core:0 with
+  | pcb, batch, -1 ->
       Alcotest.(check (list string)) "whole batch in order" [ "a"; "b" ] batch;
       Alcotest.(check bool) "busy" true (S.state pcb = S.Busy);
       S.complete sched pcb;
       Alcotest.(check bool) "idle after" true (S.state pcb = S.Idle)
   | _ -> Alcotest.fail "expected local dispatch");
-  Alcotest.(check (option unit)) "queue drained" None
-    (Option.map (fun _ -> ()) (S.next_local sched ~core:0))
+  Alcotest.(check bool) "queue drained" false (S.poll_local sched ~core:0)
 
 let test_events_during_busy_reready () =
   let sched, pcbs = mk () in
   S.deliver sched pcbs.(0) "a";
-  match S.next_local sched ~core:0 with
-  | Some (pcb, _, _) ->
-      S.deliver sched pcbs.(0) "late";
-      Alcotest.(check bool) "still busy" true (S.state pcb = S.Busy);
-      Alcotest.(check int) "not re-queued while busy" 0 (S.queue_length sched ~core:0);
-      S.complete sched pcb;
-      Alcotest.(check bool) "ready again" true (S.state pcb = S.Ready);
-      Alcotest.(check int) "re-enqueued" 1 (S.queue_length sched ~core:0)
-  | None -> Alcotest.fail "expected dispatch"
+  if not (S.poll_local sched ~core:0) then Alcotest.fail "expected dispatch";
+  let pcb = S.batch_pcb sched ~core:0 in
+  S.deliver sched pcbs.(0) "late";
+  Alcotest.(check bool) "still busy" true (S.state pcb = S.Busy);
+  Alcotest.(check int) "not re-queued while busy" 0 (S.queue_length sched ~core:0);
+  S.complete sched pcb;
+  Alcotest.(check bool) "ready again" true (S.state pcb = S.Ready);
+  Alcotest.(check int) "re-enqueued" 1 (S.queue_length sched ~core:0)
 
 let test_steal () =
   let sched, pcbs = mk () in
   S.deliver sched pcbs.(0) "a";
   (* core 1 steals from core 0 *)
-  match S.next sched ~core:1 ~steal_order:[| 0; 2; 3 |] with
-  | Some (pcb, [ "a" ], S.Stolen 0) ->
+  if not (S.poll sched ~core:1 ~steal_order:[| 0; 2; 3 |]) then
+    Alcotest.fail "expected steal from core 0";
+  match claimed sched ~core:1 with
+  | pcb, [ "a" ], 0 ->
       S.complete sched pcb;
       let c = S.counters sched ~core:1 in
       Alcotest.(check int) "steal counted" 1 c.S.steal_dispatches;
@@ -70,8 +78,10 @@ let test_local_preferred_over_steal () =
   S.deliver sched pcbs.(0) "remote";
   S.deliver sched pcbs.(1) "local";
   (* conn 1 homes on core 1; core 1 must take its own work first. *)
-  match S.next sched ~core:1 ~steal_order:[| 0; 2; 3 |] with
-  | Some (pcb, [ "local" ], S.Local) -> S.complete sched pcb
+  if not (S.poll sched ~core:1 ~steal_order:[| 0; 2; 3 |]) then
+    Alcotest.fail "expected local dispatch first";
+  match claimed sched ~core:1 with
+  | pcb, [ "local" ], -1 -> S.complete sched pcb
   | _ -> Alcotest.fail "expected local dispatch first"
 
 let test_complete_non_busy_raises () =
@@ -135,16 +145,16 @@ let prop_scheduler_model =
               incr next_event_id;
               delivered.(conn) <- id :: delivered.(conn);
               S.deliver sched pcbs.(conn) id
-          | Dispatch core -> (
+          | Dispatch core ->
               let p = policies.(core) in
               let order = Array.init (Policy.victims p) (Policy.random_victim p) in
-              match S.next sched ~core ~steal_order:order with
-              | None -> ()
-              | Some (pcb, batch, _) ->
-                  let conn = S.conn pcb in
-                  if Hashtbl.mem in_flight conn then
-                    QCheck.Test.fail_report "connection dispatched twice concurrently";
-                  Hashtbl.add in_flight conn (pcb, batch))
+              if S.poll sched ~core ~steal_order:order then begin
+                let pcb, batch, _ = claimed sched ~core in
+                let conn = S.conn pcb in
+                if Hashtbl.mem in_flight conn then
+                  QCheck.Test.fail_report "connection dispatched twice concurrently";
+                Hashtbl.add in_flight conn (pcb, batch)
+              end
           | Complete conn -> (
               match Hashtbl.find_opt in_flight conn with
               | None -> ()
@@ -163,12 +173,12 @@ let prop_scheduler_model =
           S.complete sched pcb)
         flushed;
       let rec drain () =
-        match S.next sched ~core:0 ~steal_order:(Array.init cores (fun i -> i)) with
-        | Some (pcb, batch, _) ->
-            executed.(S.conn pcb) <- List.rev_append batch executed.(S.conn pcb);
-            S.complete sched pcb;
-            drain ()
-        | None -> ()
+        if S.poll sched ~core:0 ~steal_order:(Array.init cores (fun i -> i)) then begin
+          let pcb, batch, _ = claimed sched ~core:0 in
+          executed.(S.conn pcb) <- List.rev_append batch executed.(S.conn pcb);
+          S.complete sched pcb;
+          drain ()
+        end
       in
       drain ();
       (* Work conservation: nothing ready remains. *)

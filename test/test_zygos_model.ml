@@ -275,6 +275,74 @@ let test_bitmap_word_boundaries () =
         [ true; false ])
     [ 1; 2; 31; 32; 33; 63; 64; 65 ]
 
+(* Soundness of the stuck bitmap. The idle loop scans only
+   [stuck_bits land user_bits] and skips a chained idle core's step when
+   that set is empty and the core has no work of its own, so a missed
+   bit would change the run. With a trace hook installed, the model
+   recounts every core at each scan and each skipped step and fails on a
+   stuck bit that differs from its definition or an IPI candidate outside
+   the bitmap. Core counts straddle the 32-bit word boundaries; a tiny
+   ring makes drops, and a straggler window slows or stalls one core. *)
+let stuck_case_gen =
+  QCheck.Gen.(
+    let* cores = int_range 1 70 in
+    let* load = float_range 0.1 1.1 in
+    let* interrupts = bool in
+    let* poll_random = bool in
+    let* ring = int_range 1 8 in
+    let* straggler =
+      option
+        (let* core = int_range 0 (cores - 1) in
+         let* start = float_range 0. 200. in
+         let* duration = float_range 1. 300. in
+         let+ slowdown = oneofl [ 2.; 10.; infinity ] in
+         { Core.Corefault.core; start; duration; slowdown })
+    in
+    let+ seed = int_range 1 1000 in
+    (cores, load, interrupts, poll_random, ring, straggler, seed))
+
+let print_stuck_case (cores, load, interrupts, poll_random, ring, straggler, seed) =
+  Printf.sprintf "cores=%d load=%g interrupts=%b poll_random=%b ring=%d straggler=%s seed=%d"
+    cores load interrupts poll_random ring
+    (match straggler with
+    | None -> "none"
+    | Some { Core.Corefault.core; start; duration; slowdown } ->
+        Printf.sprintf "core %d [%g, +%g) x%g" core start duration slowdown)
+    seed
+
+let prop_stuck_bitmap_sound =
+  QCheck.Test.make ~name:"stuck bitmap covers every IPI candidate" ~count:60
+    (QCheck.make stuck_case_gen ~print:print_stuck_case)
+    (fun (cores, load, interrupts, poll_random, ring, straggler, seed) ->
+      let sim = Sim.create () in
+      let rng = Rng.create ~seed in
+      let pool = Request.create_pool ~recycle:true () in
+      let conns = 4 * cores in
+      let rate = load *. float_of_int cores /. 10. in
+      let gen =
+        Net.Loadgen.create sim ~rng:(Rng.split rng) ~pool ~conns ~rate
+          ~service:(Engine.Dist.exponential 10.) ()
+      in
+      let p =
+        { (default_params cores) with
+          Systems.Params.ring_capacity = ring;
+          zy_poll_random = poll_random }
+      in
+      let p = if interrupts then p else Systems.Params.no_interrupts p in
+      let p = Systems.Params.with_stragglers p (Option.to_list straggler) in
+      let iface =
+        Systems.Zygos.create sim p ~rng:(Rng.split rng) ~pool ~conns
+          ~respond:(Net.Loadgen.complete gen)
+          ~trace:(fun _ _ -> ())
+          ()
+      in
+      Net.Loadgen.set_target gen iface.Systems.Iface.submit;
+      Net.Loadgen.start gen ~warmup:20. ~measure:(1500. /. rate);
+      Sim.run sim;
+      let v = Systems.Zygos.work_conservation_violations iface in
+      if v <> 0 then QCheck.Test.fail_reportf "%d work-conservation violations" v;
+      true)
+
 (* Distribution oracle for the idle loop's victim order. A steal walk
    draws victims one at a time and stops at the first claim; the loop
    it replaced drew a full permutation per poll. Both visit a uniformly
@@ -347,6 +415,7 @@ let () =
           Alcotest.test_case "trace consistency" `Quick test_trace_consistency;
           Alcotest.test_case "bitmap word boundaries (1..65 cores)" `Quick
             test_bitmap_word_boundaries;
+          QCheck_alcotest.to_alcotest prop_stuck_bitmap_sound;
           Alcotest.test_case "walk matches full-permutation distribution" `Slow
             test_walk_distribution_oracle;
         ] );
